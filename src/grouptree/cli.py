@@ -248,8 +248,7 @@ def cmd_train(args) -> int:
         data,
         topo,
         _build_config(args),
-        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit,
-                    seed=args.seed),
+        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit),
         seed=args.seed,
     )
     payload = {
@@ -307,8 +306,7 @@ def cmd_cv(args) -> int:
         data,
         topologies,
         _build_config(args),
-        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit,
-                    seed=args.seed),
+        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit),
         seed=args.seed,
     )
     payload = {
@@ -372,8 +370,7 @@ def cmd_sweep(args) -> int:
         topo,
         floors,
         base,
-        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit,
-                    seed=args.seed),
+        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit),
         seed=args.seed,
     )
     payload = {

@@ -88,7 +88,7 @@ def enumerate_optimal(
     if mode == "max_sensitivity":
         if min_specificity is None:
             raise InvalidConfigError("max_sensitivity mode needs min_specificity")
-        floor = _ceil_fraction(Fraction(min_specificity) * neg_mask.bit_count())
+        floor = ceil(Fraction(min_specificity) * neg_mask.bit_count())
         table = _search_pareto(
             topology, schema, feature_mask, pos_mask, neg_mask, key_is_tn=True
         )
@@ -106,7 +106,7 @@ def enumerate_optimal(
     if mode == "max_specificity":
         if min_sensitivity is None:
             raise InvalidConfigError("max_specificity mode needs min_sensitivity")
-        floor = _ceil_fraction(Fraction(min_sensitivity) * pos_mask.bit_count())
+        floor = ceil(Fraction(min_sensitivity) * pos_mask.bit_count())
         table = _search_pareto(
             topology, schema, feature_mask, pos_mask, neg_mask, key_is_tn=False
         )
@@ -213,7 +213,3 @@ def _as_tree(topology, schema, tests) -> DecisionTree:
         n_features=schema.n_features,
         group_sizes=schema.group_sizes,
     )
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return ceil(x)

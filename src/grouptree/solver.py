@@ -4,9 +4,10 @@ Two engines share one result contract:
 
 * a structured search used for models produced by ``build_model``: it
   branches on the integral feature-selection bits, propagates the one-group
-  implications, and closes a node by exact enumeration of the remaining
-  assignments once that is small enough (tests at leaf-adjacent nodes are
-  completed in closed form for each assignment);
+  implications, and closes a node exactly once the remaining assignments are
+  few enough.  One closure serves every mode: it enumerates the tests at
+  branched nodes in batches and completes the leaf-adjacent tests with an
+  exact per-group knapsack;
 * a generic LP-driven search for any model (e.g. parsed from MPS): most
   fractional declared variable, best-bound node order with depth-first
   plunging, bounds from the dense simplex.
@@ -25,12 +26,12 @@ from dataclasses import dataclass, field
 from math import ceil, floor, prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import simplex
 from .encoding import GroupSchema
 from .errors import (
     FractionalSelectionError,
-    InfeasibleError,
     NumericalFailureError,
     TimeLimitNoIncumbentError,
 )
@@ -48,6 +49,10 @@ UNBOUNDED = "unbounded"
 
 ENUM_BUDGET = 4096
 ENUM_BUDGET_CONSTRAINED = 20000
+# closure batch limits: routed masks per batch, and floats per array in the
+# leaf kernel (bounds the float copy of the masks and the knapsack state)
+CHUNK_ROWS = 256
+CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,6 @@ class SolveConfig:
     absolute_gap: float | None = None  # auto: 0.999 for integer objectives, else 1e-6
     integrality_tolerance: float = 1e-6
     node_limit: int | None = None
-    seed: int = 0
     log_progress: bool = False
     callback: object = None  # callable(dict) per processed node
 
@@ -111,14 +115,13 @@ def _model_arrays(model: MilpModel):
     return A, senses, rhs, obj, lower, upper
 
 
-def solve_lp(model: MilpModel, ignore_integrality: bool = True):
+def solve_lp(model: MilpModel):
     """Optimal basic solution of the model's continuous relaxation.
 
     Returns ``(value, assignment, status)`` with status one of ``optimal``,
     ``infeasible``, ``unbounded``; value and assignment are None unless
     optimal.
     """
-    del ignore_integrality  # integrality is always dropped here
     A, senses, rhs, obj, lower, upper = _model_arrays(model)
     solver = BoundedSimplex(A, senses, rhs, obj, lower, upper)
     status = solver.solve()
@@ -278,8 +281,8 @@ class _LpBranchAndBound:
             x = solver.solution()
             val = float(obj @ x)
             bound = min(val, parent_bound)
-            self._emit(nodes, incumbent, bound, start,
-                       {"lp_value": val, "parent_bound": parent_bound})
+            _emit_progress(cfg, nodes, incumbent, bound, start,
+                           {"lp_value": val, "parent_bound": parent_bound})
             if incumbent is not None and bound <= incumbent + gap:
                 continue
 
@@ -344,9 +347,6 @@ class _LpBranchAndBound:
             elapsed,
         )
 
-    def _emit(self, node, incumbent, bound, start, extra=None):
-        _emit_progress(self.config, node, incumbent, bound, start, extra)
-
 
 def _emit_progress(config, node, incumbent, bound, start, extra=None):
     if not (config.log_progress or config.callback):
@@ -379,8 +379,18 @@ class _StructuredSearch:
     group, which zeroes every other group's bits there; anchored nodes must
     keep their group's anchor bit set.  Once the number of remaining test
     assignments at the branched nodes is at most a budget, the node is closed
-    by enumerating them; for each assignment the leaf-adjacent tests have a
-    closed-form optimum, so the enumeration is exact.
+    exactly.
+
+    The closure is the same in every mode; the mode is data fixed here:
+    what a correct positive and a correct negative add to the objective
+    (integers over ``scale``), which of them counts towards the floor, and
+    the floor (0 in accuracy mode).  Every subtree gets one table per routed
+    sample set: the best objective with at least ``t`` floored-class samples
+    correct, for ``t = 0 .. floor``.  Leaf-adjacent tables come from a
+    per-group knapsack over the features (``_group_tables``).  A branched
+    node sends the child sample sets of all of its tests through its children
+    as one batch and merges their tables (``_merge``).  The winning tests are
+    recovered afterwards along the winning path (``_recover``).
     """
 
     def __init__(self, model: MilpModel, config: SolveConfig):
@@ -411,28 +421,53 @@ class _StructuredSearch:
         )
         self.group_of = np.array([self.schema.group_of(j) for j in range(self.d)])
 
-        weight = self.bcfg.class_weight
-        self.acc_weight = int(weight) if weight.denominator == 1 else weight
-        self.mode = self.bcfg.mode
+        # Each mode as data.  A correct positive sits in a right (even) leaf,
+        # a correct negative in a left (odd) one.  ``gain_*`` is what each adds
+        # to the objective, in integers: the objective is their sum over
+        # ``scale``.  ``counted_*`` is whether it is of the floored class.
+        weight, mode = self.bcfg.class_weight, self.bcfg.mode
         n_neg = int((self.labels == -1).sum())
         n_pos = self.n - n_neg
-        if self.mode == "accuracy":
-            self.sample_w = np.where(self.labels == 1, 1.0, float(weight))
-            self.trivial_bound = float(n_pos + float(weight) * n_neg)
-            self.floor = None
-            self.floor_axis_size = 0
-        elif self.mode == "max_sensitivity":
-            self.sample_w = (self.labels == 1).astype(float)
-            self.trivial_bound = float(n_pos)
+        if mode == "accuracy":
+            gain_pos, gain_neg = weight.denominator, weight.numerator
+            counted_pos = counted_neg = 0
+            self.floor = 0
+        elif mode == "max_sensitivity":
+            gain_pos, gain_neg = 1, 0
+            counted_pos, counted_neg = 0, 1
             self.floor = ceil(self.bcfg.min_specificity * n_neg)
-            self.floor_axis_size = n_neg + 1
         else:
-            self.sample_w = (self.labels == -1).astype(float)
-            self.trivial_bound = float(n_neg)
+            gain_pos, gain_neg = 0, 1
+            counted_pos, counted_neg = 1, 0
             self.floor = ceil(self.bcfg.min_sensitivity * n_pos)
-            self.floor_axis_size = n_pos + 1
+        self.scale = weight.denominator if mode == "accuracy" else 1
         self.enum_budget = (
-            ENUM_BUDGET if self.mode == "accuracy" else ENUM_BUDGET_CONSTRAINED
+            ENUM_BUDGET if mode == "accuracy" else ENUM_BUDGET_CONSTRAINED
+        )
+        pos_w, neg_w = gain_pos / self.scale, gain_neg / self.scale
+        self.sample_w = np.where(self.labels == 1, pos_w, neg_w)
+        self.trivial_bound = float(n_pos * pos_w + n_neg * neg_w)
+        forbid = self.bcfg.forbid_trivial_branch
+        # final knapsack states [some feature went left, some went right]
+        self.accept = np.array([[False, not forbid], [not forbid, True]])
+
+        # feature slots of each group, padded to the widest group
+        width = max(self.schema.group_sizes, default=1)
+        slots = np.zeros((self.n_groups, width), dtype=np.int64)
+        self.slot_used = np.zeros((self.n_groups, width), dtype=bool)
+        for g in range(self.n_groups):
+            feats = self.schema.features_of(g)
+            slots[g, : len(feats)] = feats
+            self.slot_used[g, : len(feats)] = True
+        slot_cols = self.data.matrix[:, slots.ravel()] * self.slot_used.ravel()
+        pos = self.labels[:, None] == 1
+        self.columns = np.hstack([slot_cols * ~pos, slot_cols * pos]).astype(float)
+        # routed [negatives, positives] per slot -> left/right gain, left/right count
+        self.side_weights = np.array(
+            [[gain_neg, gain_pos], [counted_neg, counted_pos]], dtype=float
+        )
+        self.leaf_rows = max(
+            1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
 
     # -- search loop --------------------------------------------------------
@@ -443,8 +478,8 @@ class _StructuredSearch:
         gap = cfg.gap_for(self.model)
         deadline = start + cfg.time_limit
 
-        incumbent_val = None
-        incumbent_tests = None
+        best = -np.inf  # scaled objective of the incumbent
+        best_at = None  # (root winner, zlo, zhi) of its closure
         nodes = 0
         counter = 0
         zlo, zhi = self._root_box()
@@ -455,7 +490,8 @@ class _StructuredSearch:
             entry = heapq.heappop(heap)
             neg_bound, _, zlo, zhi = entry
             bound = -neg_bound
-            if incumbent_val is not None and bound <= float(incumbent_val) + gap:
+            incumbent = None if best_at is None else best / self.scale
+            if incumbent is not None and bound <= incumbent + gap:
                 continue
             if time.perf_counter() > deadline or (
                 cfg.node_limit is not None and nodes >= cfg.node_limit
@@ -468,8 +504,8 @@ class _StructuredSearch:
             if not self._propagate(zlo, zhi):
                 continue
             bound = min(bound, self._dp_bound(zlo, zhi))
-            _emit_progress(cfg, nodes, incumbent_val, bound, start)
-            if incumbent_val is not None and bound <= float(incumbent_val) + gap:
+            _emit_progress(cfg, nodes, incumbent, bound, start)
+            if incumbent is not None and bound <= incumbent + gap:
                 continue
 
             count = prod(
@@ -477,15 +513,9 @@ class _StructuredSearch:
                 for p, k in enumerate(self.decl)
             )
             if count <= self.enum_budget:
-                try:
-                    out = self._closure(zlo, zhi)
-                except InfeasibleError:
-                    continue
-                if out is not None:
-                    val, tests = out
-                    if incumbent_val is None or val > incumbent_val:
-                        incumbent_val = val
-                        incumbent_tests = tests
+                value, winner = self._closure(zlo, zhi)
+                if value > best:
+                    best, best_at = value, (winner, zlo, zhi)
                 continue
 
             p_star, j_star = self._branch_bit(zlo, zhi)
@@ -499,26 +529,29 @@ class _StructuredSearch:
             heapq.heappush(heap, (-bound, -counter, child_lo, zhi.copy()))
 
         elapsed = time.perf_counter() - start
-        if incumbent_val is None:
+        if best_at is None:
             if hit_limit:
                 raise TimeLimitNoIncumbentError("time limit before any incumbent")
             return SolveResult(INFEASIBLE, None, -np.inf, {}, nodes, 0, elapsed)
 
-        obj = float(incumbent_val)
+        tests: dict = {}
+        everyone = np.ones(self.n, dtype=bool)
+        root = ("node", self.topo.root)
+        self._recover(root, everyone, self.floor, best, *best_at, tests)
+        obj = best / self.scale
         if hit_limit:
             rest = max((-b for b, _, _, _ in heap), default=-np.inf)
             return SolveResult(
                 FEASIBLE_TIME_LIMIT,
                 obj,
                 max(obj, rest),
-                self._assignment_from_tests(incumbent_tests),
+                self._assignment_from_tests(tests),
                 nodes,
                 0,
                 elapsed,
             )
         return SolveResult(
-            OPTIMAL, obj, obj, self._assignment_from_tests(incumbent_tests),
-            nodes, 0, elapsed,
+            OPTIMAL, obj, obj, self._assignment_from_tests(tests), nodes, 0, elapsed,
         )
 
     def _branch_bit(self, zlo, zhi):
@@ -626,24 +659,24 @@ class _StructuredSearch:
 
     def _dp_bound(self, zlo, zhi) -> float:
         """Valid upper bound: each sample routed as well as its boxes allow."""
-        big = 2.0
-
-        def rec(child) -> np.ndarray:
-            kind, kk = child
-            if kind == "leaf":
-                match = self.labels == (1 if kk % 2 == 0 else -1)
-                return np.where(match, big, 0.0)
-            hl = rec(self.topo.children[kk][0])
-            hr = rec(self.topo.children[kk][1])
-            lo, hi = self._branch_interval(kk, zlo, zhi)
-            best = None
-            for cand in (lo, hi, np.clip(hl, lo, hi), np.clip(1.0 - hr, lo, hi)):
-                val = np.minimum(cand, hl) + np.minimum(1.0 - cand, hr)
-                best = val if best is None else np.maximum(best, val)
-            return best
-
-        h = np.minimum(rec(("node", self.topo.root)), 1.0)
+        h = np.minimum(self._dp_scores(("node", self.topo.root), zlo, zhi), 1.0)
         return float(np.dot(self.sample_w, h))
+
+    def _dp_scores(self, child, zlo, zhi) -> np.ndarray:
+        # a method, not a nested function: a self-referencing closure would
+        # keep the search, and its model, alive until the cyclic collector runs
+        kind, kk = child
+        if kind == "leaf":
+            match = self.labels == (1 if kk % 2 == 0 else -1)
+            return np.where(match, 2.0, 0.0)
+        hl = self._dp_scores(self.topo.children[kk][0], zlo, zhi)
+        hr = self._dp_scores(self.topo.children[kk][1], zlo, zhi)
+        lo, hi = self._branch_interval(kk, zlo, zhi)
+        best = None
+        for cand in (lo, hi, np.clip(hl, lo, hi), np.clip(1.0 - hr, lo, hi)):
+            val = np.minimum(cand, hl) + np.minimum(1.0 - cand, hr)
+            best = val if best is None else np.maximum(best, val)
+        return best
 
     def _branch_interval(self, k: int, zlo, zhi):
         if k not in self.decl_pos:
@@ -665,247 +698,176 @@ class _StructuredSearch:
                 lo = np.min(has_anchor, axis=0).astype(float)
         return lo, hi
 
-    # -- leaf-adjacent completions ----------------------------------------------
-
-    def _routed_counts(self, mask):
-        idx = np.flatnonzero(mask)
-        pos_idx = idx[self.labels[idx] == 1]
-        neg_idx = idx[self.labels[idx] == -1]
-        pos_cnt = np.zeros(self.d, dtype=np.int64)
-        neg_cnt = np.zeros(self.d, dtype=np.int64)
-        for g in range(self.n_groups):
-            if pos_idx.size:
-                pos_cnt += np.bincount(self.fidx[pos_idx, g], minlength=self.d)
-            if neg_idx.size:
-                neg_cnt += np.bincount(self.fidx[neg_idx, g], minlength=self.d)
-        return pos_cnt, neg_cnt
-
-    def _leaf_parent_best(self, k: int, mask):
-        """Exact best (value, (group, subset)) at a leaf-adjacent node.
-
-        Selected features send their samples to the left (negative) leaf, so
-        each feature independently earns max(right gain, left gain).
-        """
-        pos_cnt, neg_cnt = self._routed_counts(mask)
-        w = self.acc_weight
-        best_val, best = None, None
-        for g in range(self.n_groups):
-            feats = self.schema.features_of(g)
-            if self.bcfg.forbid_trivial_branch and len(feats) == 1:
-                continue
-            subset, val, deltas = [], 0, []
-            for j in feats:
-                left_gain = w * int(neg_cnt[j])
-                right_gain = int(pos_cnt[j])
-                if left_gain > right_gain:
-                    subset.append(j)
-                    val += left_gain
-                else:
-                    val += right_gain
-                deltas.append(left_gain - right_gain)
-            if self.bcfg.forbid_trivial_branch:
-                if len(subset) == 0:
-                    t = max(range(len(feats)), key=lambda t: (deltas[t], -t))
-                    subset, val = [feats[t]], val + deltas[t]
-                elif len(subset) == len(feats):
-                    t = max(range(len(feats)), key=lambda t: (-deltas[t], -t))
-                    subset = [j for j in subset if j != feats[t]]
-                    val -= deltas[t]
-            if best_val is None or val > best_val:
-                best_val, best = val, (g, tuple(sorted(subset)))
-        if best is None:
-            raise InfeasibleError(f"no admissible test at node {k}")
-        return best_val, best
-
-    def _leaf_parent_table(self, k: int, mask):
-        """Constrained modes: best objective per exact floored-class count.
-
-        Returns ``(table, choices)``: ``table[t]`` is the best count of the
-        maximized class when exactly ``t`` floored-class samples are correct
-        under this node; ``choices[t]`` is ``{k: (group, subset)}``.
-        """
-        pos_cnt, neg_cnt = self._routed_counts(mask)
-        if self.mode == "max_sensitivity":
-            key_cnt, val_cnt = neg_cnt, pos_cnt  # floored: TN, maximized: TP
-        else:
-            key_cnt, val_cnt = pos_cnt, neg_cnt
-        size = self.floor_axis_size
-        best = np.full(size, -np.inf)
-        best_choice: list = [None] * size
-        for g in range(self.n_groups):
-            feats = self.schema.features_of(g)
-            if self.bcfg.forbid_trivial_branch:
-                table, subsets = self._group_table_explicit(feats, key_cnt, val_cnt)
-            else:
-                table, subsets = self._group_table_dp(feats, key_cnt, val_cnt)
-            if table is None:
-                continue
-            upd = table > best
-            for t in np.flatnonzero(upd):
-                best[t] = table[t]
-                best_choice[t] = {k: (g, subsets(int(t)))}
-        return best, best_choice
-
-    def _group_table_dp(self, feats, key_cnt, val_cnt):
-        """Per-feature knapsack over the floored count; backtrack on demand."""
-        sens = self.mode == "max_sensitivity"
-        size = self.floor_axis_size
-        tables = [np.full(size, -np.inf)]
-        tables[0][0] = 0.0
-
-        def advance(prev, kj, vj):
-            if sens:
-                take = _shift(prev, kj, size)       # j selected: left leaf, +TN
-                skip = prev + vj                    # j skipped: right leaf, +TP
-            else:
-                take = prev + vj                    # j selected: left leaf, +TN
-                skip = _shift(prev, kj, size)       # j skipped: right leaf, +TP
-            return take, skip
-
-        for j in feats:
-            take, skip = advance(tables[-1], int(key_cnt[j]), int(val_cnt[j]))
-            tables.append(np.maximum(take, skip))
-
-        def subsets(t: int):
-            subset = []
-            cur = t
-            for pos in range(len(feats) - 1, -1, -1):
-                j = feats[pos]
-                prev = tables[pos]
-                kj, vj = int(key_cnt[j]), int(val_cnt[j])
-                final = tables[pos + 1][cur]
-                if sens:
-                    took = (
-                        cur - kj >= 0
-                        and np.isfinite(prev[cur - kj])
-                        and prev[cur - kj] == final
-                    )
-                    if took:
-                        subset.append(j)
-                        cur -= kj
-                else:
-                    took = np.isfinite(prev[cur]) and prev[cur] + vj == final
-                    if took:
-                        subset.append(j)
-                    else:
-                        cur -= kj
-            return tuple(sorted(subset))
-
-        return tables[-1], subsets
-
-    def _group_table_explicit(self, feats, key_cnt, val_cnt):
-        """Subset enumeration variant, used when trivial tests are forbidden."""
-        if len(feats) == 1:
-            return None, None
-        if len(feats) > 16:
-            raise InfeasibleError(
-                "constrained mode with forbidden trivial tests is limited to "
-                "groups of at most 16 categories"
-            )
-        sens = self.mode == "max_sensitivity"
-        size = self.floor_axis_size
-        table = np.full(size, -np.inf)
-        chosen: list = [None] * size
-        for bits in range(1, (1 << len(feats)) - 1):
-            key = val = 0
-            subset = []
-            for t, j in enumerate(feats):
-                if bits >> t & 1:
-                    subset.append(j)
-                    key += int(key_cnt[j]) if sens else 0
-                    val += 0 if sens else int(val_cnt[j])
-                else:
-                    val += int(val_cnt[j]) if sens else 0
-                    key += 0 if sens else int(key_cnt[j])
-            if val > table[key]:
-                table[key] = val
-                chosen[key] = tuple(sorted(subset))
-        return table, lambda t: chosen[t]
-
-    # -- closure by enumeration ---------------------------------------------------
+    # -- closure: one exact table kernel for every mode ---------------------
+    #
+    # A table holds, for ``t = 0 .. floor``, the best scaled objective of a
+    # subtree with at least ``t`` floored-class samples correct.
 
     def _closure(self, zlo, zhi):
-        if self.mode == "accuracy":
-            mask = np.ones(self.n, dtype=bool)
-            return self._closure_accuracy(("node", self.topo.root), mask, zlo, zhi)
-        return self._closure_constrained(zlo, zhi)
+        """Best scaled objective meeting the floor within the box (-inf if none).
 
-    def _subset_mask(self, g: int, subset, mask):
-        member = np.zeros(self.d, dtype=bool)
-        if subset:
-            member[list(subset)] = True
-        return member[self.fidx[:, g]] & mask
+        Returns ``(value, winner)``; ``winner`` is the first root test (or
+        group, for a one-node tree) that reaches it.
+        """
+        everyone = np.ones((1, self.n), dtype=bool)
+        tables, winners = self._tables(("node", self.topo.root), everyone, zlo, zhi)
+        return float(tables[0, self.floor]), int(winners[0, self.floor])
 
-    def _closure_accuracy(self, child, mask, zlo, zhi):
-        kind, k = child
-        if kind == "leaf":
-            match = mask & (self.labels == (1 if k % 2 == 0 else -1))
-            if k % 2 == 0:
-                return int(match.sum()), {}
-            return self.acc_weight * int(match.sum()), {}
+    def _tables(self, child, masks, zlo, zhi):
+        """``(len(masks), floor + 1)`` tables of the subtree, one per routed mask.
+
+        Also returns, per entry, the first option (or group, at a
+        leaf-adjacent node) that reaches it.  A branched node sends the child
+        masks of a chunk of its options through each child as one batch; the
+        root keeps only the entry that meets the floor.
+        """
+        k = child[1]
+        best = np.full((len(masks), self.floor + 1), -np.inf)
+        winners = np.zeros(best.shape, dtype=np.int64)
         if k in self.topo.leaf_adjacent:
-            val, choice = self._leaf_parent_best(k, mask)
-            return val, {k: choice}
-        p = self.decl_pos[k]
+            for r in range(0, len(masks), self.leaf_rows):
+                tables = self._group_tables(self._gains(masks[r:r + self.leaf_rows]))
+                if self.n_groups:  # with no group there is no test at all
+                    best[r:r + self.leaf_rows] = tables.max(axis=1)
+                    winners[r:r + self.leaf_rows] = tables.argmax(axis=1)
+            return best, winners
+        options = self._node_options(self.decl_pos[k], k, zlo, zhi)
+        keep = self.floor if k == self.topo.root else 0
         left_child, right_child = self.topo.children[k]
-        best_val, best_tests = None, None
-        for g, subset in self._node_options(p, k, zlo, zhi):
-            go_left = self._subset_mask(g, subset, mask)
-            lv, lt = self._closure_accuracy(left_child, go_left, zlo, zhi)
-            rv, rt = self._closure_accuracy(right_child, mask & ~go_left, zlo, zhi)
-            val = lv + rv
-            if best_val is None or val > best_val:
-                best_val = val
-                best_tests = {k: (g, subset), **lt, **rt}
-        if best_val is None:
-            raise InfeasibleError(f"no admissible test at node {k}")
-        return best_val, best_tests
+        step = max(1, CHUNK_ROWS // len(masks))
+        for lo in range(0, len(options), step):
+            go = self._go_left(options[lo:lo + step])
+            left = (masks[:, None] & go).reshape(-1, self.n)
+            right = (masks[:, None] & ~go).reshape(-1, self.n)
+            merged = self._merge(
+                self._tables(left_child, left, zlo, zhi)[0],
+                self._tables(right_child, right, zlo, zhi)[0],
+                keep,
+            ).reshape(len(masks), len(go), -1)
+            chunk_best = merged.max(axis=1)
+            better = chunk_best > best
+            best[better] = chunk_best[better]
+            winners[better] = merged.argmax(axis=1)[better] + lo
+        return best, winners
 
-    def _closure_constrained(self, zlo, zhi):
-        """Best maximized-class count subject to the floored-class minimum."""
-        root = self.topo.root
-        size = self.floor_axis_size
-        best_val, best_tests = None, None
+    def _go_left(self, options) -> np.ndarray:
+        """``(len(options), n)``: the samples each (group, subset) test sends left."""
+        member = np.zeros((len(options), self.d), dtype=bool)
+        groups = np.zeros(len(options), dtype=np.int64)
+        for o, (g, subset) in enumerate(options):
+            member[o, list(subset)] = True
+            groups[o] = g
+        go = np.empty((len(options), self.n), dtype=bool)
+        for g in range(self.n_groups):
+            rows = groups == g
+            go[rows] = member[rows][:, self.fidx[:, g]]
+        return go
 
-        def table_of(child, mask):
-            kind, k = child
-            if k in self.topo.leaf_adjacent:
-                return self._leaf_parent_table(k, mask)
-            pp = self.decl_pos[k]
-            lchild, rchild = self.topo.children[k]
-            table = np.full(size, -np.inf)
-            choice: list = [None] * size
-            for g, subset in self._node_options(pp, k, zlo, zhi):
-                go_left = self._subset_mask(g, subset, mask)
-                lt, lc = table_of(lchild, go_left)
-                rt, rc = table_of(rchild, mask & ~go_left)
-                for tl in np.flatnonzero(np.isfinite(lt)):
-                    merged = _shift(lt[tl] + rt, int(tl), size)
-                    for t in np.flatnonzero(merged > table):
-                        table[t] = merged[t]
-                        choice[t] = {k: (g, subset), **lc[int(tl)], **rc[t - tl]}
-            return table, choice
+    def _merge(self, left, right, keep: int) -> np.ndarray:
+        """Parent tables: the best split of the count between the two children.
 
-        mask = np.ones(self.n, dtype=bool)
-        p = self.decl_pos[root]
-        lchild, rchild = self.topo.children[root]
-        for g, subset in self._node_options(p, root, zlo, zhi):
-            go_left = self._subset_mask(g, subset, mask)
-            lt, lc = table_of(lchild, go_left)
-            rt, rc = table_of(rchild, mask & ~go_left)
-            suff, arg_suff = _suffix_max(rt)
-            for tl in np.flatnonzero(np.isfinite(lt)):
-                need = max(0, self.floor - int(tl))
-                if need >= size or not np.isfinite(suff[need]):
-                    continue
-                tr = int(arg_suff[need])
-                val = lt[tl] + suff[need]
-                if best_val is None or val > best_val:
-                    best_val = val
-                    best_tests = {root: (g, subset), **lc[int(tl)], **rc[tr]}
-        if best_val is None:
-            return None
-        return int(best_val), best_tests
+        Entries below ``keep`` are left at -inf.
+        """
+        top = self.floor
+        out = np.full(left.shape, -np.inf)
+        for t in range(top + 1):
+            lo = max(t, keep)
+            np.maximum(out[:, lo:], left[:, t, None] + right[:, lo - t:top + 1 - t],
+                       out=out[:, lo:])
+        return out
+
+    def _gains(self, masks) -> np.ndarray:
+        """``(len(masks), 4, groups, width)`` from the routed class counts per slot.
+
+        Per feature slot: objective gain if it sends its samples left, if it
+        sends them right, then the floored count it adds on each side.
+        """
+        shape = (len(masks), 1, 2) + self.slot_used.shape
+        counts = (masks @ self.columns).reshape(shape)
+        gains = counts * self.side_weights[:, :, None, None]
+        return gains.reshape((len(masks), 4) + self.slot_used.shape)
+
+    def _group_tables(self, gains) -> np.ndarray:
+        """``(len(gains), groups, floor + 1)`` best leaf-adjacent test of each group.
+
+        A knapsack over the group's features, vectorised across groups padded
+        to the widest: each feature sends its samples to the left or the
+        right leaf.  The state is [some feature went left, some went right],
+        so a forbidden trivial test is only a rejected final state.  The
+        count axis carries ``floor`` leading copies of its first entry, so
+        that a shift is a window into it.
+        """
+        left_gain, right_gain, left_count, right_count = np.moveaxis(gains, 1, 0)
+        pad = self.floor
+        table = np.full((len(gains), self.n_groups, 2, 2, pad + pad + 1), -np.inf)
+        table[:, :, 0, 0, : pad + 1] = 0.0
+        for t in range(self.slot_used.shape[1]):
+            # slot t sent left sets "went left" and keeps "went right"
+            left = np.maximum(table[:, :, 0], table[:, :, 1])
+            left = self._shift(left, left_count[..., t])
+            left += left_gain[..., t, None, None]
+            # slot t sent right sets "went right" and keeps "went left"
+            right = np.maximum(table[:, :, :, 0], table[:, :, :, 1])
+            right = self._shift(right, right_count[..., t])
+            right += right_gain[..., t, None, None]
+            step = np.empty_like(table)
+            step[:, :, 0, 0] = -np.inf
+            step[:, :, 1, 0, pad:] = left[:, :, 0]
+            step[:, :, 0, 1, pad:] = right[:, :, 0]
+            step[:, :, 1, 1, pad:] = np.maximum(left[:, :, 1], right[:, :, 1])
+            step[..., :pad] = step[..., pad, None]
+            table = np.where(self.slot_used[:, t, None, None, None], step, table)
+        accepted = np.where(self.accept[..., None], table[..., pad:], -np.inf)
+        return accepted.max(axis=(2, 3))
+
+    def _shift(self, padded, counts) -> np.ndarray:
+        """``padded[b, g, x]`` after ``counts[b, g]`` more samples are counted.
+
+        Entry ``t`` takes entry ``max(t - count, 0)``.
+        """
+        if self.floor == 0:
+            return padded  # nothing is counted towards a floor
+        windows = sliding_window_view(padded, self.floor + 1, axis=-1)
+        b, g, x = np.ogrid[: len(padded), : self.n_groups, :2]
+        start = self.floor - np.minimum(counts, self.floor).astype(np.int64)
+        return windows[b, g, x, start[..., None]]
+
+    # -- recovering the winning tests ---------------------------------------------
+
+    def _recover(self, child, mask, key: int, value, winner: int, zlo, zhi, tests):
+        """Put into ``tests`` the tests that earn ``value`` at ``key``.
+
+        ``winner`` is the option (or group) that the subtree's table names
+        for that entry.  Splits of the count are taken in order; within a
+        group each feature goes right unless that loses ``value``.
+        """
+        k = child[1]
+        if k in self.topo.leaf_adjacent:
+            g = winner
+            gains = self._gains(mask[None])
+            subset = []
+            for t, j in enumerate(self.schema.features_of(g)):
+                right = gains.copy()
+                right[0, 0, g, t] = -np.inf  # j may not go left
+                if self._group_tables(right)[0, g, key] == value:
+                    gains = right
+                else:
+                    gains[0, 1, g, t] = -np.inf
+                    subset.append(j)
+            tests[k] = (g, tuple(subset))
+            return
+        tests[k] = self._node_options(self.decl_pos[k], k, zlo, zhi)[winner]
+        go = self._go_left([tests[k]])[0]
+        left_child, right_child = self.topo.children[k]
+        left_mask, right_mask = mask & go, mask & ~go
+        left, left_win = self._tables(left_child, left_mask[None], zlo, zhi)
+        right, right_win = self._tables(right_child, right_mask[None], zlo, zhi)
+        t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
+        u = key - t
+        self._recover(left_child, left_mask, t, left[0, t], int(left_win[0, t]),
+                      zlo, zhi, tests)
+        self._recover(right_child, right_mask, u, right[0, u], int(right_win[0, u]),
+                      zlo, zhi, tests)
 
     # -- incumbent assignment ------------------------------------------------------
 
@@ -932,23 +894,3 @@ class _StructuredSearch:
             assignment[var.name] = 1.0 if leaves[int(i_s)] == int(b_s) else 0.0
         return assignment
 
-
-def _shift(arr: np.ndarray, amount: int, size: int) -> np.ndarray:
-    if amount == 0:
-        return arr.copy()
-    out = np.full(size, -np.inf)
-    out[amount:] = arr[: size - amount]
-    return out
-
-
-def _suffix_max(arr: np.ndarray):
-    size = len(arr)
-    suff = np.empty(size)
-    arg = np.empty(size, dtype=np.int64)
-    best_v, best_t = -np.inf, size - 1
-    for t in range(size - 1, -1, -1):
-        if arr[t] > best_v:
-            best_v, best_t = arr[t], t
-        suff[t] = best_v
-        arg[t] = best_t
-    return suff, arg

@@ -246,20 +246,24 @@ def test_config_invariance(rng):
 
 
 def test_constrained_solves_match_oracle(rng):
-    topo = preset("depth2")
-    for _ in range(5):
-        data = random_dataset(rng, 16, [2, 3])
-        if (data.labels == 1).sum() == 0 or (data.labels == -1).sum() == 0:
-            continue
-        for beta in (Fraction(1, 2), Fraction(1)):
-            expected, _ = enumerate_optimal(
-                data, topo, mode="max_sensitivity", min_specificity=beta
-            )
-            cfg = BuildConfig(mode="max_sensitivity", min_specificity=beta)
-            for method in ("structured", "lp"):
-                result = solve_milp(build_model(data, topo, cfg), method=method)
-                assert result.status == OPTIMAL
-                assert abs(result.objective - float(expected)) < 1e-7
+    # depth2_5 and depth3 merge tables below the root; the LP engine runs
+    # only the small depth2 models
+    for name in ("depth2", "depth2_5", "depth3"):
+        topo = preset(name)
+        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        for _ in range(5 if name == "depth2" else 3):
+            data = random_dataset(rng, 16 if name == "depth2" else 12, [2, 3])
+            if (data.labels == 1).sum() == 0 or (data.labels == -1).sum() == 0:
+                continue
+            for beta in (Fraction(1, 2), Fraction(1)):
+                expected, _ = enumerate_optimal(
+                    data, topo, mode="max_sensitivity", min_specificity=beta
+                )
+                cfg = BuildConfig(mode="max_sensitivity", min_specificity=beta)
+                for method in methods:
+                    result = solve_milp(build_model(data, topo, cfg), method=method)
+                    assert result.status == OPTIMAL
+                    assert abs(result.objective - float(expected)) < 1e-7
 
 
 def test_extract_tree_reads_assignment():
@@ -326,6 +330,35 @@ def test_empty_subset_tree_is_legal(rng):
     assert m.accuracy == 1.0
 
 
+def test_data_without_feature_groups_is_infeasible():
+    from grouptree.encoding import build_schema, encode, parse_table
+    from grouptree.topology import parse_shape
+
+    table = parse_table("class\n1\n-1\n1\n", label_column="class")
+    data = encode(table, build_schema(table))
+    for topo in (preset("depth2"), parse_shape("(# #)", name="stump")):
+        result = solve_milp(build_model(data, topo))
+        assert result.status == INFEASIBLE
+
+
+def test_structured_search_is_freed_without_the_cycle_collector(rng):
+    # a reference cycle would keep every solved model alive until the cyclic
+    # collector happens to run, so repeated solves would hold several at once
+    import gc
+    import weakref
+
+    model = build_model(random_dataset(rng, 20, [3, 2]), preset("depth2_5"))
+    gc.disable()
+    try:
+        search = solver_mod._StructuredSearch(model, SolveConfig())
+        search.run()
+        ref = weakref.ref(search)
+        del search
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_determinism_same_result(rng):
     data = random_dataset(rng, 26, [3, 3, 2])
     model = build_model(data, preset("depth2_5"))
@@ -337,15 +370,23 @@ def test_determinism_same_result(rng):
 
 
 def test_weighted_objective_matches_oracle(rng):
-    for _ in range(4):
-        data = random_dataset(rng, 18, [3, 2])
-        weight = Fraction(5, 2)
-        expected, _ = enumerate_optimal(data, preset("depth2"), class_weight=weight)
-        cfg = BuildConfig(class_weight=weight)
-        for method in ("structured", "lp"):
-            result = solve_milp(build_model(data, preset("depth2"), cfg), method=method)
-            assert result.status == OPTIMAL
-            assert abs(result.objective - float(expected)) < 1e-7
+    # non-integer weights are scaled to integers inside the structured engine
+    for name in ("depth2", "depth2_5", "depth3"):
+        topo = preset(name)
+        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        weights = (Fraction(5, 2),) * (4 if name == "depth2" else 1)
+        for weight in weights + (Fraction(3, 2), Fraction(1, 3)):
+            data = random_dataset(rng, 18 if name == "depth2" else 12, [3, 2])
+            expected, _ = enumerate_optimal(data, topo, class_weight=weight)
+            cfg = BuildConfig(class_weight=weight)
+            for method in methods:
+                result = solve_milp(build_model(data, topo, cfg), method=method)
+                assert result.status == OPTIMAL
+                assert abs(result.objective - float(expected)) < 1e-7
+                tree = extract_tree(result, topo, data.schema)
+                m = evaluate(tree, data)
+                earned = m.true_positive + weight * m.true_negative
+                assert abs(result.objective - float(earned)) < 1e-7
 
 
 def test_progress_log_line_format(rng, caplog):
@@ -397,8 +438,12 @@ def test_generic_assignment_matches_replay(rng):
         assert result.assignment[var.name] == pytest.approx(want, abs=1e-6)
 
 
-def _brute_force_nontrivial(data, topo, floor=None):
-    """Test-local reference: enumerate non-trivial tests at every node."""
+def _brute_force_nontrivial(data, topo, weight=1, floor=None, floored="tn"):
+    """Test-local reference: enumerate non-trivial tests at every node.
+
+    With a ``floor``, the ``floored`` count ("tn" or "tp") must reach it and
+    the other count is maximized.
+    """
     from itertools import combinations, product
 
     from grouptree.tree import DecisionTree
@@ -418,65 +463,108 @@ def _brute_force_nontrivial(data, topo, floor=None):
         )
         m = evaluate(tree, data)
         if floor is None:
-            value = m.true_positive + m.true_negative
+            value = m.true_positive + weight * m.true_negative
         else:
-            if m.true_negative < floor:
+            kept, value = (
+                (m.true_negative, m.true_positive)
+                if floored == "tn"
+                else (m.true_positive, m.true_negative)
+            )
+            if kept < floor:
                 continue
-            value = m.true_positive
         if best is None or value > best:
             best = value
     return best
 
 
+def _assert_nontrivial(tree):
+    for g, subset in tree.tests.values():
+        assert 0 < len(subset) < tree.group_sizes[g]
+
+
 def test_forbid_trivial_against_brute_force(rng):
-    topo = preset("depth2")
-    for _ in range(3):
-        data = random_dataset(rng, 14, [2, 2])
-        expected = _brute_force_nontrivial(data, topo)
-        cfg = BuildConfig(forbid_trivial_branch=True)
-        for method in ("structured", "lp"):
+    # deeper shapes merge tables below the root; weights check the scaling
+    weights = (Fraction(3, 2), Fraction(1, 3))
+    cases = [("depth2", 1)] * 3 + [("depth2", w) for w in weights]
+    cases += [("depth2_5", w) for w in (1,) + weights] + [("depth3", 1)]
+    for name, weight in cases:
+        topo = preset(name)
+        data = random_dataset(rng, 14 if name == "depth2" else 10, [2, 2])
+        expected = _brute_force_nontrivial(data, topo, weight=weight)
+        cfg = BuildConfig(forbid_trivial_branch=True, class_weight=weight)
+        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        for method in methods:
             result = solve_milp(build_model(data, topo, cfg), method=method)
             assert result.status == OPTIMAL
             assert abs(result.objective - float(expected)) < 1e-7, method
+            _assert_nontrivial(extract_tree(result, topo, data.schema))
 
 
 def test_forbid_trivial_constrained_against_brute_force(rng):
-    topo = preset("depth2")
-    for _ in range(3):
-        data = random_dataset(rng, 12, [2, 2])
-        n_neg = int((data.labels == -1).sum())
-        if n_neg == 0 or n_neg == 12:
+    cases = [("depth2", "max_sensitivity")] * 3 + [("depth2", "max_specificity")] * 2
+    cases += [("depth2_5", "max_sensitivity"), ("depth2_5", "max_specificity")]
+    cases += [("depth3", "max_sensitivity")]
+    for name, mode in cases:
+        topo = preset(name)
+        data = random_dataset(rng, 12 if name == "depth2" else 10, [2, 2])
+        floored = (data.labels == (-1 if mode == "max_sensitivity" else 1)).sum()
+        if floored == 0 or floored == data.n_samples:
             continue
         floor_rate = Fraction(1, 2)
-        floor = -(-n_neg // 2)
-        expected = _brute_force_nontrivial(data, topo, floor=floor)
+        floor = -(-int(floored) // 2)
+        expected = _brute_force_nontrivial(
+            data, topo, floor=floor, floored="tn" if mode == "max_sensitivity" else "tp"
+        )
+        rate_key = "min_specificity" if mode == "max_sensitivity" else "min_sensitivity"
         cfg = BuildConfig(
-            forbid_trivial_branch=True,
-            mode="max_sensitivity",
-            min_specificity=floor_rate,
+            forbid_trivial_branch=True, mode=mode, **{rate_key: floor_rate}
         )
         model = build_model(data, topo, cfg)
-        for method in ("structured", "lp"):
+        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        for method in methods:
             result = solve_milp(model, method=method)
             if expected is None:
                 assert result.status == INFEASIBLE, method
             else:
                 assert result.status == OPTIMAL
                 assert abs(result.objective - float(expected)) < 1e-7, method
+                _assert_nontrivial(extract_tree(result, topo, data.schema))
+
+
+def test_forbid_trivial_constrained_large_group_is_feasible():
+    # a group wider than 16 categories must not turn a feasible problem
+    # into an infeasible one
+    data = random_dataset(random.Random(5), 40, [2, 3, 17])
+    topo = preset("depth2")
+    beta = Fraction(1, 2)
+    cfg = BuildConfig(
+        mode="max_sensitivity", min_specificity=beta, forbid_trivial_branch=True
+    )
+    result = solve_milp(build_model(data, topo, cfg))
+    assert result.status == OPTIMAL
+    assert result.objective >= 15
+    tree = extract_tree(result, topo, data.schema)
+    m = evaluate(tree, data)
+    n_neg = int((data.labels == -1).sum())
+    assert m.true_negative >= beta * n_neg
+    assert m.true_positive == result.objective
+    _assert_nontrivial(tree)
 
 
 def test_max_specificity_matches_oracle(rng):
-    topo = preset("depth2")
-    for _ in range(4):
-        data = random_dataset(rng, 14, [2, 3])
-        if (data.labels == 1).sum() == 0 or (data.labels == -1).sum() == 0:
-            continue
-        for alpha in (Fraction(1, 2), Fraction(1)):
-            expected, _ = enumerate_optimal(
-                data, topo, mode="max_specificity", min_sensitivity=alpha
-            )
-            cfg = BuildConfig(mode="max_specificity", min_sensitivity=alpha)
-            for method in ("structured", "lp"):
-                result = solve_milp(build_model(data, topo, cfg), method=method)
-                assert result.status == OPTIMAL
-                assert abs(result.objective - float(expected)) < 1e-7, method
+    for name in ("depth2", "depth2_5", "depth3"):
+        topo = preset(name)
+        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        for _ in range(4 if name == "depth2" else 2):
+            data = random_dataset(rng, 14 if name == "depth2" else 12, [2, 3])
+            if (data.labels == 1).sum() == 0 or (data.labels == -1).sum() == 0:
+                continue
+            for alpha in (Fraction(1, 2), Fraction(1)):
+                expected, _ = enumerate_optimal(
+                    data, topo, mode="max_specificity", min_sensitivity=alpha
+                )
+                cfg = BuildConfig(mode="max_specificity", min_sensitivity=alpha)
+                for method in methods:
+                    result = solve_milp(build_model(data, topo, cfg), method=method)
+                    assert result.status == OPTIMAL
+                    assert abs(result.objective - float(expected)) < 1e-7, method
