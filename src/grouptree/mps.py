@@ -118,6 +118,18 @@ def parse_mps(text: str) -> MilpModel:
     def fail(line_no, msg):
         raise MpsParseError(msg, line_no=line_no)
 
+    def number(line_no, text, what):
+        try:
+            return float(text)
+        except ValueError:
+            fail(line_no, f"bad {what} {text!r}")
+
+    def objective_sense(line_no, word):
+        s = word.lower()
+        if s not in ("max", "min", "maximize", "minimize"):
+            fail(line_no, f"bad objective sense {word!r}")
+        return "max" if s.startswith("max") else "min"
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
@@ -128,10 +140,9 @@ def parse_mps(text: str) -> MilpModel:
             if kw == "NAME":
                 name = fields[1] if len(fields) > 1 else "PARSED"
             elif kw == "OBJSENSE":
-                pending_objsense = True
-                if len(fields) > 1:
-                    sense = fields[1].lower()
-                    pending_objsense = False
+                pending_objsense = len(fields) == 1
+                if not pending_objsense:
+                    sense = objective_sense(line_no, fields[1])
             elif kw in ("ROWS", "COLUMNS", "RHS", "BOUNDS"):
                 section = kw
             elif kw == "RANGES":
@@ -143,10 +154,7 @@ def parse_mps(text: str) -> MilpModel:
                 fail(line_no, f"unknown section {kw!r}")
             continue
         if pending_objsense:
-            s = fields[0].lower()
-            if s not in ("max", "min", "maximize", "minimize"):
-                fail(line_no, f"bad objective sense {fields[0]!r}")
-            sense = "max" if s.startswith("max") else "min"
+            sense = objective_sense(line_no, fields[0])
             pending_objsense = False
             continue
         if section == "ROWS":
@@ -181,10 +189,7 @@ def parse_mps(text: str) -> MilpModel:
                 var_integer[col] = integer_open
             for t in range(1, len(fields), 2):
                 row, val_s = fields[t], fields[t + 1]
-                try:
-                    val = float(val_s)
-                except ValueError:
-                    fail(line_no, f"bad coefficient {val_s!r}")
+                val = number(line_no, val_s, "coefficient")
                 if row == obj_row:
                     if val != 0.0:
                         obj_coeffs.append((col, val))
@@ -199,22 +204,23 @@ def parse_mps(text: str) -> MilpModel:
                 row, val_s = fields[t], fields[t + 1]
                 if row not in row_sense and row != obj_row:
                     fail(line_no, f"unknown row {row!r}")
-                try:
-                    rhs[row] = float(val_s)
-                except ValueError:
-                    fail(line_no, f"bad rhs {val_s!r}")
+                rhs[row] = number(line_no, val_s, "rhs")
         elif section == "BOUNDS":
             if len(fields) < 3:
                 fail(line_no, "BOUNDS lines need a type, label, and column")
             btype, col = fields[0].upper(), fields[2]
             if col not in var_set:
                 fail(line_no, f"bound for unknown column {col!r}")
+            if btype in ("UP", "LO", "FX"):
+                if len(fields) < 4:
+                    fail(line_no, f"{btype} bounds need a value")
+                value = number(line_no, fields[3], "bound")
             if btype == "UP":
-                var_upper[col] = float(fields[3])
+                var_upper[col] = value
             elif btype == "LO":
-                var_lower[col] = float(fields[3])
+                var_lower[col] = value
             elif btype == "FX":
-                var_lower[col] = var_upper[col] = float(fields[3])
+                var_lower[col] = var_upper[col] = value
             elif btype == "BV":
                 var_integer[col] = True
                 var_lower[col], var_upper[col] = 0.0, 1.0

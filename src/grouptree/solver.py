@@ -1,6 +1,10 @@
 """Branch-and-bound over the tree-training integer programs.
 
-Two engines share one result contract:
+Two engines share one result contract and one best-bound loop
+(``_best_first``): node order, the gap prune, the time and node limits,
+progress records, incumbent updates and the reported statuses are the same
+code for both.  An engine supplies only its node work, a bound step and a
+split step:
 
 * a structured search used for models produced by ``build_model``: it
   branches on the integral feature-selection bits, propagates the one-group
@@ -9,12 +13,12 @@ Two engines share one result contract:
   branched nodes in batches and completes the leaf-adjacent tests with an
   exact per-group knapsack;
 * a generic LP-driven search for any model (e.g. parsed from MPS): most
-  fractional declared variable, best-bound node order with depth-first
-  plunging, bounds from the dense simplex.
+  fractional declared variable, bounds from the dense simplex.
 
-In both engines bounds are monotone along the search tree and the incumbent
-is a feasible integral assignment, so ``optimal`` results carry a proof
-within the configured gap.
+Nodes are taken best bound first; on equal bounds the child pushed last is
+taken first, so the search plunges depth-first.  In both engines bounds are
+monotone along the search tree and the incumbent is a feasible integral
+assignment, so ``optimal`` results carry a proof within the configured gap.
 """
 
 from __future__ import annotations
@@ -190,6 +194,112 @@ def extract_tree(
 
 
 # ---------------------------------------------------------------------------
+# the best-bound loop shared by both engines
+# ---------------------------------------------------------------------------
+
+
+def _best_first(engine, root, root_bound: float) -> SolveResult:
+    """Best-bound branch and bound over the nodes of ``engine``.
+
+    The engine maximises and supplies the node work:
+
+    * ``engine.bound(node, parent_bound)``: None for an infeasible node, else
+      ``(bound, progress fields, work)``.  A bound of +inf is an unbounded
+      relaxation and ends the search;
+    * ``engine.split(node, work)`` on a node that survived the gap prune:
+      ``(value, solution, children)``, a candidate incumbent (``value`` -inf
+      for none) and the children to push, in order;
+    * ``engine.assignment(solution)`` of the winner, ``engine.sign`` to turn
+      the maximised value back to the model's sense, and
+      ``engine.iterations`` for the pivots spent.
+    """
+    config = engine.config
+    gap = config.gap_for(engine.model)
+    start = time.perf_counter()
+    best, best_at = -np.inf, None  # incumbent value and its solution
+    nodes = counter = 0
+    heap = [(-root_bound, 0, root)]  # (-bound, -counter, node)
+    hit_limit = unbounded = False
+
+    while heap:
+        entry = heapq.heappop(heap)
+        neg_bound, _, node = entry
+        parent_bound = -neg_bound
+        incumbent = None if best_at is None else best
+        if incumbent is not None and parent_bound <= incumbent + gap:
+            continue
+        if time.perf_counter() - start > config.time_limit or (
+            config.node_limit is not None and nodes >= config.node_limit
+        ):
+            hit_limit = True
+            heapq.heappush(heap, entry)
+            break
+        nodes += 1
+
+        bounded = engine.bound(node, parent_bound)
+        if bounded is None:
+            continue
+        bound, fields, work = bounded
+        if bound == np.inf:
+            unbounded = True
+            break
+        _emit_progress(config, nodes, incumbent, bound, start, fields)
+        if incumbent is not None and bound <= incumbent + gap:
+            continue
+
+        value, solution, children = engine.split(node, work)
+        if value > best:
+            best, best_at = value, solution
+        for child in children:
+            counter += 1
+            heapq.heappush(heap, (-bound, -counter, child))
+
+    elapsed = time.perf_counter() - start
+    if unbounded:
+        return SolveResult(
+            UNBOUNDED, None, np.inf, {}, nodes, engine.iterations, elapsed
+        )
+    if best_at is None:
+        if hit_limit:
+            raise TimeLimitNoIncumbentError(
+                f"no feasible solution within limits ({nodes} nodes)"
+            )
+        return SolveResult(
+            INFEASIBLE, None, -np.inf, {}, nodes, engine.iterations, elapsed
+        )
+    bound = best
+    if hit_limit:
+        bound = max(best, max(-b for b, _, _ in heap))
+    return SolveResult(
+        FEASIBLE_TIME_LIMIT if hit_limit else OPTIMAL,
+        engine.sign * best,
+        engine.sign * bound,
+        engine.assignment(best_at),
+        nodes,
+        engine.iterations,
+        elapsed,
+    )
+
+
+def _emit_progress(config, node, incumbent, bound, start, extra=None):
+    if not (config.log_progress or config.callback):
+        return
+    elapsed = time.perf_counter() - start
+    inc = "-" if incumbent is None else f"{float(incumbent):.6g}"
+    gap = "-" if incumbent is None else f"{bound - float(incumbent):.6g}"
+    if config.log_progress:
+        log.info(
+            "node=%d incumbent=%s bound=%.6g gap=%s time=%.2f",
+            node, inc, bound, gap, elapsed,
+        )
+    if config.callback:
+        payload = {"node": node, "incumbent": incumbent, "bound": bound, "time": elapsed}
+        if extra:
+            payload.update(extra)
+        config.callback(payload)
+
+
+# ---------------------------------------------------------------------------
 # generic LP-based branch and bound
 # ---------------------------------------------------------------------------
 
@@ -199,17 +309,24 @@ class _LpBranchAndBound:
         self.model = model
         self.config = config
         self.arrays = _model_arrays(model)
+        _, _, _, self.obj, self.lower0, self.upper0 = self.arrays
         self.declared = [j for j, v in enumerate(model.variables) if v.is_integer]
-        self.minimize = model.sense == "min"
+        self.sign = -1.0 if model.sense == "min" else 1.0
+        self.iterations = 0  # pivots spent so far
+        self._hot = None
+        self._hot_patch = {}
 
-    def _node_lp(self, patch, lower0, upper0):
+    def run(self) -> SolveResult:
+        return _best_first(self, {}, np.inf)
+
+    def _node_lp(self, patch):
         """Re-optimize the shared simplex under a node's bound patch.
 
         The basis stays dual-feasible across bound changes, so a dual restart
         usually suffices; numerical trouble falls back to a fresh solve.
         Returns (solver, status, iterations spent on this node).
         """
-        A, senses, rhs, obj, _, _ = self.arrays
+        A, senses, rhs, obj, lower0, upper0 = self.arrays
 
         def fresh():
             solver = BoundedSimplex(A, senses, rhs, obj, lower0.copy(), upper0.copy())
@@ -239,131 +356,42 @@ class _LpBranchAndBound:
             self._hot = None
         return solver, status, solver.iterations - before
 
-    def run(self) -> SolveResult:
-        start = time.perf_counter()
-        cfg = self.config
-        gap = cfg.gap_for(self.model)
-        tol = cfg.integrality_tolerance
-        A, senses, rhs, obj, lower0, upper0 = self.arrays
+    def bound(self, patch, parent_bound):
+        """The node LP's value, capped at the parent's bound."""
+        solver, status, spent = self._node_lp(patch)
+        self.iterations += spent
+        if status == simplex.INFEASIBLE:
+            return None
+        if status == simplex.UNBOUNDED:
+            return np.inf, None, None
+        x = solver.solution()
+        val = float(self.obj @ x)
+        fields = {"lp_value": val, "parent_bound": parent_bound}
+        return min(val, parent_bound), fields, (val, x)
 
-        incumbent = None
-        incumbent_x = None
-        lp_iterations = 0
-        nodes = 0
-        counter = 0
-        heap = [(-np.inf, 0, {})]  # (-bound, -id, bound patch)
-        hit_limit = False
-        unbounded = False
-        self._hot = None
-        self._hot_patch = {}
+    def split(self, patch, work):
+        """An integral LP optimum, or two children on the most fractional variable."""
+        val, x = work
+        tol = self.config.integrality_tolerance
+        frac_j, frac_dist = -1, -1.0
+        for j in self.declared:
+            if abs(x[j] - round(x[j])) > tol:
+                dist = min(x[j] - floor(x[j]), ceil(x[j]) - x[j])
+                if dist > frac_dist + 1e-12:
+                    frac_dist = dist
+                    frac_j = j
+        if frac_j < 0:
+            return val, x, ()
 
-        while heap:
-            entry = heapq.heappop(heap)
-            neg_bound, _, patch = entry
-            parent_bound = -neg_bound
-            if incumbent is not None and parent_bound <= incumbent + gap:
-                continue
-            if time.perf_counter() - start > cfg.time_limit or (
-                cfg.node_limit is not None and nodes >= cfg.node_limit
-            ):
-                hit_limit = True
-                heapq.heappush(heap, entry)
-                break
-            nodes += 1
+        down = dict(patch)
+        down[frac_j] = (self.lower0[frac_j], float(floor(x[frac_j] + tol)))
+        up = dict(patch)
+        up[frac_j] = (float(ceil(x[frac_j] - tol)), self.upper0[frac_j])
+        prefer_up = x[frac_j] - floor(x[frac_j]) >= 0.5
+        return -np.inf, None, ((down, up) if prefer_up else (up, down))
 
-            solver, status, spent = self._node_lp(patch, lower0, upper0)
-            lp_iterations += spent
-            if status == simplex.INFEASIBLE:
-                continue
-            if status == simplex.UNBOUNDED:
-                unbounded = True
-                break
-            x = solver.solution()
-            val = float(obj @ x)
-            bound = min(val, parent_bound)
-            _emit_progress(cfg, nodes, incumbent, bound, start,
-                           {"lp_value": val, "parent_bound": parent_bound})
-            if incumbent is not None and bound <= incumbent + gap:
-                continue
-
-            frac_j, frac_dist = -1, -1.0
-            for j in self.declared:
-                if abs(x[j] - round(x[j])) > tol:
-                    dist = min(x[j] - floor(x[j]), ceil(x[j]) - x[j])
-                    if dist > frac_dist + 1e-12:
-                        frac_dist = dist
-                        frac_j = j
-            if frac_j < 0:
-                if incumbent is None or val > incumbent:
-                    incumbent = val
-                    incumbent_x = x.copy()
-                continue
-
-            down = dict(patch)
-            down[frac_j] = (lower0[frac_j], float(floor(x[frac_j] + tol)))
-            up = dict(patch)
-            up[frac_j] = (float(ceil(x[frac_j] - tol)), upper0[frac_j])
-            prefer_up = x[frac_j] - floor(x[frac_j]) >= 0.5
-            first, second = (down, up) if prefer_up else (up, down)
-            counter += 1
-            heapq.heappush(heap, (-bound, -counter, first))
-            counter += 1
-            heapq.heappush(heap, (-bound, -counter, second))
-
-        elapsed = time.perf_counter() - start
-        if unbounded:
-            return SolveResult(UNBOUNDED, None, np.inf, {}, nodes, lp_iterations, elapsed)
-        open_bound = max((-b for b, _, _ in heap), default=-np.inf)
-        sign = -1.0 if self.minimize else 1.0
-        if incumbent is None:
-            if hit_limit:
-                raise TimeLimitNoIncumbentError(
-                    f"no feasible solution within limits ({nodes} nodes)"
-                )
-            return SolveResult(
-                INFEASIBLE, None, -np.inf, {}, nodes, lp_iterations, elapsed
-            )
-        assignment = {
-            v.name: float(incumbent_x[j]) for j, v in enumerate(self.model.variables)
-        }
-        if hit_limit:
-            bound = max(incumbent, open_bound)
-            return SolveResult(
-                FEASIBLE_TIME_LIMIT,
-                sign * incumbent,
-                sign * bound,
-                assignment,
-                nodes,
-                lp_iterations,
-                elapsed,
-            )
-        return SolveResult(
-            OPTIMAL,
-            sign * incumbent,
-            sign * incumbent,
-            assignment,
-            nodes,
-            lp_iterations,
-            elapsed,
-        )
-
-
-def _emit_progress(config, node, incumbent, bound, start, extra=None):
-    if not (config.log_progress or config.callback):
-        return
-    elapsed = time.perf_counter() - start
-    inc = "-" if incumbent is None else f"{float(incumbent):.6g}"
-    gap = "-" if incumbent is None else f"{bound - float(incumbent):.6g}"
-    if config.log_progress:
-        log.info(
-            "node=%d incumbent=%s bound=%.6g gap=%s time=%.2f",
-            node, inc, bound, gap, elapsed,
-        )
-    if config.callback:
-        payload = {"node": node, "incumbent": incumbent, "bound": bound, "time": elapsed}
-        if extra:
-            payload.update(extra)
-        config.callback(payload)
+    def assignment(self, x) -> dict[str, float]:
+        return {v.name: float(x[j]) for j, v in enumerate(self.model.variables)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +420,9 @@ class _StructuredSearch:
     as one batch and merges their tables (``_merge``).  The winning tests are
     recovered afterwards along the winning path (``_recover``).
     """
+
+    sign = 1.0  # built models maximise
+    iterations = 0  # no simplex runs here
 
     def __init__(self, model: MilpModel, config: SolveConfig):
         st = model.structure
@@ -470,89 +501,47 @@ class _StructuredSearch:
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
 
-    # -- search loop --------------------------------------------------------
+    # -- node work for the shared loop ----------------------------------------
 
     def run(self) -> SolveResult:
-        start = time.perf_counter()
-        cfg = self.config
-        gap = cfg.gap_for(self.model)
-        deadline = start + cfg.time_limit
+        root = (
+            np.zeros((self.n_decl, self.d), dtype=np.int8),
+            np.ones((self.n_decl, self.d), dtype=np.int8),
+        )
+        return _best_first(self, root, self.trivial_bound)
 
-        best = -np.inf  # scaled objective of the incumbent
-        best_at = None  # (root winner, zlo, zhi) of its closure
-        nodes = 0
-        counter = 0
-        zlo, zhi = self._root_box()
-        heap = [(-self.trivial_bound, 0, zlo, zhi)]
-        hit_limit = False
+    def bound(self, box, parent_bound):
+        """Propagate the box in place; the DP bound unless it is empty."""
+        zlo, zhi = box
+        if not self._propagate(zlo, zhi):
+            return None
+        return min(parent_bound, self._dp_bound(zlo, zhi)), None, None
 
-        while heap:
-            entry = heapq.heappop(heap)
-            neg_bound, _, zlo, zhi = entry
-            bound = -neg_bound
-            incumbent = None if best_at is None else best / self.scale
-            if incumbent is not None and bound <= incumbent + gap:
-                continue
-            if time.perf_counter() > deadline or (
-                cfg.node_limit is not None and nodes >= cfg.node_limit
-            ):
-                hit_limit = True
-                heapq.heappush(heap, entry)
-                break
-            nodes += 1
+    def split(self, box, work):
+        """Close the box exactly if it holds few enough tests, else branch a bit."""
+        zlo, zhi = box
+        count = prod(
+            self._node_option_count(p, k, zlo, zhi) for p, k in enumerate(self.decl)
+        )
+        if count <= self.enum_budget:
+            value, winner = self._closure(zlo, zhi)
+            # the loop compares objectives; _recover wants the scaled value
+            return value / self.scale, (value, winner, zlo, zhi), ()
+        p_star, j_star = self._branch_bit(zlo, zhi)
+        child_hi = zhi.copy()
+        child_hi[p_star, j_star] = 0
+        child_lo = zlo.copy()
+        child_lo[p_star, j_star] = 1  # pushed last: plunges first on ties
+        return -np.inf, None, ((zlo.copy(), child_hi), (child_lo, zhi.copy()))
 
-            if not self._propagate(zlo, zhi):
-                continue
-            bound = min(bound, self._dp_bound(zlo, zhi))
-            _emit_progress(cfg, nodes, incumbent, bound, start)
-            if incumbent is not None and bound <= incumbent + gap:
-                continue
-
-            count = prod(
-                self._node_option_count(p, k, zlo, zhi)
-                for p, k in enumerate(self.decl)
-            )
-            if count <= self.enum_budget:
-                value, winner = self._closure(zlo, zhi)
-                if value > best:
-                    best, best_at = value, (winner, zlo, zhi)
-                continue
-
-            p_star, j_star = self._branch_bit(zlo, zhi)
-            child_hi = zhi.copy()
-            child_hi[p_star, j_star] = 0
-            counter += 1
-            heapq.heappush(heap, (-bound, -counter, zlo.copy(), child_hi))
-            child_lo = zlo.copy()
-            child_lo[p_star, j_star] = 1  # pushed last: plunges first on ties
-            counter += 1
-            heapq.heappush(heap, (-bound, -counter, child_lo, zhi.copy()))
-
-        elapsed = time.perf_counter() - start
-        if best_at is None:
-            if hit_limit:
-                raise TimeLimitNoIncumbentError("time limit before any incumbent")
-            return SolveResult(INFEASIBLE, None, -np.inf, {}, nodes, 0, elapsed)
-
+    def assignment(self, solution) -> dict[str, float]:
+        """The winning closure's tests, recovered and written as an assignment."""
+        value, winner, zlo, zhi = solution
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
         root = ("node", self.topo.root)
-        self._recover(root, everyone, self.floor, best, *best_at, tests)
-        obj = best / self.scale
-        if hit_limit:
-            rest = max((-b for b, _, _, _ in heap), default=-np.inf)
-            return SolveResult(
-                FEASIBLE_TIME_LIMIT,
-                obj,
-                max(obj, rest),
-                self._assignment_from_tests(tests),
-                nodes,
-                0,
-                elapsed,
-            )
-        return SolveResult(
-            OPTIMAL, obj, obj, self._assignment_from_tests(tests), nodes, 0, elapsed,
-        )
+        self._recover(root, everyone, self.floor, value, winner, zlo, zhi, tests)
+        return self._assignment_from_tests(tests)
 
     def _branch_bit(self, zlo, zhi):
         for p in range(self.n_decl):
@@ -562,11 +551,6 @@ class _StructuredSearch:
         raise AssertionError("no undecided bit despite enumeration budget overflow")
 
     # -- bound boxes ----------------------------------------------------------
-
-    def _root_box(self):
-        zlo = np.zeros((self.n_decl, self.d), dtype=np.int8)
-        zhi = np.ones((self.n_decl, self.d), dtype=np.int8)
-        return zlo, zhi
 
     def _anchored(self, k: int) -> bool:
         return self.bcfg.anchor and k in self.topo.anchor_eligible
@@ -594,37 +578,12 @@ class _StructuredSearch:
                     return False
         return True
 
-    def _node_option_count(self, p: int, k: int, zlo, zhi) -> int:
-        anchored = self._anchored(k)
+    def _node_groups(self, p: int, k: int, zlo, zhi):
+        """(group, fixed features, free features) of each group the box allows."""
         ones = np.flatnonzero(zlo[p] == 1)
-        if ones.size:
-            g = int(self.group_of[ones[0]])
-            feats = self.schema.features_of(g)
-            free = sum(1 for j in feats if zlo[p, j] == 0 and zhi[p, j] == 1)
-            return 1 << free
-        total = 0
-        for g in range(self.n_groups):
-            feats = self.schema.features_of(g)
-            if anchored:
-                if zhi[p, self.anchor[g]] == 0:
-                    continue
-                free = sum(
-                    1 for j in feats if j != self.anchor[g] and zhi[p, j] == 1
-                )
-            else:
-                free = sum(1 for j in feats if zhi[p, j] == 1)
-            total += 1 << free
-        return max(total, 1)
-
-    def _node_options(self, p: int, k: int, zlo, zhi):
-        """Deterministic (group, subset tuple) assignments consistent with the box."""
+        groups = [int(self.group_of[ones[0]])] if ones.size else range(self.n_groups)
         anchored = self._anchored(k)
-        ones = np.flatnonzero(zlo[p] == 1)
-        groups = (
-            [int(self.group_of[ones[0]])] if ones.size else list(range(self.n_groups))
-        )
-        options = []
-        emitted_empty = False
+        out = []
         for g in groups:
             feats = self.schema.features_of(g)
             fixed = [j for j in feats if zlo[p, j] == 1]
@@ -635,15 +594,22 @@ class _StructuredSearch:
                 if a not in fixed:
                     fixed = sorted(fixed + [a])
             free = [j for j in feats if zhi[p, j] == 1 and j not in fixed]
-            size = len(feats)
+            out.append((g, fixed, free))
+        return out
+
+    def _node_option_count(self, p: int, k: int, zlo, zhi) -> int:
+        """Upper bound on ``len(_node_options(...))``, at least 1."""
+        groups = self._node_groups(p, k, zlo, zhi)
+        return max(1, sum(1 << len(free) for _, _, free in groups))
+
+    def _node_options(self, p: int, k: int, zlo, zhi):
+        """Deterministic (group, subset tuple) assignments consistent with the box."""
+        options = []
+        emitted_empty = False
+        for g, fixed, free in self._node_groups(p, k, zlo, zhi):
+            size = len(self.schema.groups[g])
             for bits in range(1 << len(free)):
-                subset = list(fixed)
-                rest, t = bits, 0
-                while rest:
-                    if rest & 1:
-                        subset.append(free[t])
-                    rest >>= 1
-                    t += 1
+                subset = fixed + [j for t, j in enumerate(free) if bits >> t & 1]
                 if self.bcfg.forbid_trivial_branch and (
                     len(subset) == 0 or len(subset) == size
                 ):

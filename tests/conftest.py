@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,35 @@ def random_dataset(rng: random.Random, n_samples, sizes, labels=None):
         labels=np.array(labels, dtype=np.int8),
         schema=schema,
     )
+
+
+def corrupt(text: str, rng: random.Random) -> str:
+    """``text`` after one to three seeded edits of the kind a damaged file shows."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        kind = rng.choice(("drop", "duplicate", "field", "digit", "line", "text"))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "field":
+            spans = [m.span() for m in re.finditer(r"[^\s,]+", line)]
+            if spans:
+                a, b = rng.choice(spans)
+                lines[i] = line[:a] + line[b:]
+        elif kind == "digit":
+            digits = [t for t, ch in enumerate(line) if ch.isdigit()]
+            if digits:
+                t = rng.choice(digits)
+                lines[i] = line[:t] + rng.choice(("x", "1e", "nan", "")) + line[t + 1:]
+        elif kind == "line":
+            lines[i] = line[: rng.randrange(len(line) + 1)]
+        text = "\n".join(lines)
+        if kind == "text":
+            text = text[: rng.randrange(len(text) + 1)]
+    return text
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from grouptree.encoding import (
 )
 from grouptree.errors import (
     EmptyTableError,
+    GroupTreeError,
     MalformedRowError,
     NonBinaryLabelError,
     UnknownCategoryError,
 )
+from tests.conftest import corrupt
 
 CSV_YESNO = """color,size,verdict
 red,small,yes
@@ -180,3 +184,20 @@ def test_monks_format_full_file():
     assert len(parsed.column_names) == 6
     assert parsed.labels == table.labels
     assert parsed.rows == table.rows
+
+
+def test_corrupted_tables_raise_only_grouptree_errors():
+    table = monks(1)
+    csv_text = "\n".join(to_csv(table).split("\n")[:21]) + "\n"
+    monks_text = "".join(
+        f" {1 if y == 1 else 0} " + " ".join(row) + f" data_{t}\n"
+        for t, (row, y) in enumerate(zip(table.rows[:20], table.labels[:20]))
+    )
+    for name, text in (("csv", csv_text), ("monks", monks_text)):
+        for case in range(1000):
+            bad = corrupt(text, random.Random(f"{name}:{case}"))
+            for fmt in ("csv", "monks"):
+                try:
+                    parse_table(bad, format=fmt)
+                except GroupTreeError:
+                    pass

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from grouptree.errors import MpsParseError, NameOverflowError
+from grouptree.errors import GroupTreeError, MpsParseError, NameOverflowError
 from grouptree.model import BuildConfig, MilpModel, Variable, build_model, model_stats
 from grouptree.mps import export_lp, export_mps, parse_mps
+from grouptree.solver import solve_lp
 from grouptree.topology import preset
-from tests.conftest import random_dataset
+from tests.conftest import corrupt, random_dataset
 
 ALL_CONFIGS = [
     BuildConfig(),
@@ -99,6 +102,62 @@ ENDATA
     assert by_name["A"].lower == by_name["A"].upper == 1.0
     assert by_name["B"].is_integer and by_name["B"].upper == 1.0
     assert by_name["C"].lower == 0.5
+
+
+@pytest.mark.parametrize(
+    "line",
+    [" UP BND             A", " LO BND             A               abc",
+     " FX BND             A               1e"],
+    ids=["missing", "abc", "1e"],
+)
+def test_short_or_non_numeric_bound_reports_line(line):
+    text = f"NAME          B\nROWS\n N  OBJ\nCOLUMNS\n    A               OBJ             1\nBOUNDS\n{line}\nENDATA\n"
+    with pytest.raises(MpsParseError) as err:
+        parse_mps(text)
+    assert "line 7" in str(err.value)
+
+
+SENSE_MODEL = """NAME          S
+{sense}
+ROWS
+ N  OBJ
+ L  R1
+COLUMNS
+    X               OBJ             1
+    X               R1              1
+RHS
+    RHS             R1              1
+BOUNDS
+ UP BND             X               5
+ENDATA
+"""
+
+
+@pytest.mark.parametrize(
+    "sense, value",
+    [("OBJSENSE MIN", 0.0), ("OBJSENSE MINIMIZE", 0.0), ("OBJSENSE\n    MINIMIZE", 0.0),
+     ("OBJSENSE MAXIMIZE", 1.0), ("OBJSENSE\n    MAX", 1.0)],
+)
+def test_objective_sense_on_one_or_two_lines(sense, value):
+    model = parse_mps(SENSE_MODEL.format(sense=sense))
+    assert model.sense == ("min" if value == 0.0 else "max")
+    assert solve_lp(model)[0] == value
+
+
+@pytest.mark.parametrize("sense", ["OBJSENSE BOGUS", "OBJSENSE\n    BOGUS"])
+def test_bad_objective_sense_is_rejected(sense):
+    with pytest.raises(MpsParseError, match="bad objective sense"):
+        parse_mps(SENSE_MODEL.format(sense=sense))
+
+
+def test_corrupted_mps_raises_only_grouptree_errors(rng):
+    text = export_mps(build_model(random_dataset(rng, 6, [2, 2]), preset("depth2")))
+    for case in range(1000):
+        bad = corrupt(text, random.Random(f"mps:{case}"))
+        try:
+            parse_mps(bad)
+        except GroupTreeError:
+            pass
 
 
 def test_ranges_rejected():

@@ -11,13 +11,14 @@ from grouptree.errors import (
     FractionalSelectionError,
     TimeLimitNoIncumbentError,
 )
-from grouptree.model import BuildConfig, Constraint, Variable, build_model
+from grouptree.model import BuildConfig, Constraint, MilpModel, Variable, build_model
 from grouptree.mps import export_mps, parse_mps
 from grouptree.oracle import enumerate_optimal
 from grouptree.solver import (
     FEASIBLE_TIME_LIMIT,
     INFEASIBLE,
     OPTIMAL,
+    UNBOUNDED,
     SolveConfig,
     extract_tree,
     solve_lp,
@@ -291,8 +292,13 @@ def test_extract_tree_fractional_selection():
 
 def test_time_limit_without_incumbent(rng):
     data = random_dataset(rng, 12, [2, 2])
-    with pytest.raises(TimeLimitNoIncumbentError):
-        solve_milp(build_model(data, preset("depth2")), SolveConfig(time_limit=0.0))
+    for method in ("structured", "lp"):
+        with pytest.raises(TimeLimitNoIncumbentError):
+            solve_milp(
+                build_model(data, preset("depth2")),
+                SolveConfig(time_limit=0.0),
+                method=method,
+            )
 
 
 def test_node_limit_returns_incumbent(rng, monkeypatch):
@@ -303,10 +309,54 @@ def test_node_limit_returns_incumbent(rng, monkeypatch):
     matrix = np.vstack([base.matrix, base.matrix])
     labels = np.concatenate([base.labels, -base.labels])
     data = EncodedDataset(matrix=matrix, labels=labels, schema=base.schema)
-    result = solve_milp(build_model(data, preset("depth2")), SolveConfig(node_limit=8))
-    assert result.status == FEASIBLE_TIME_LIMIT
-    assert result.objective is not None
-    assert result.best_bound >= result.objective
+    for method in ("structured", "lp"):
+        result = solve_milp(
+            build_model(data, preset("depth2")), SolveConfig(node_limit=8), method=method
+        )
+        assert result.status == FEASIBLE_TIME_LIMIT
+        assert result.objective is not None
+        assert result.best_bound >= result.objective
+        assert result.nodes_processed == 8
+
+
+def _integer_program(sense, objective, rows, upper):
+    """Integer X and Y in [0, upper] under rows of (coefficients, sense, rhs)."""
+    return MilpModel(
+        name="HAND",
+        sense=sense,
+        variables=[Variable(v, 0.0, upper, True, "x") for v in ("X", "Y")],
+        constraints=[
+            Constraint(f"R{t}", coeffs, con_sense, rhs)
+            for t, (coeffs, con_sense, rhs) in enumerate(rows)
+        ],
+        objective=objective,
+    )
+
+
+def test_lp_engine_unbounded_integer_program():
+    model = _integer_program(
+        "max", (("X", 1.0),), [((("X", 1.0), ("Y", -1.0)), "<=", 0.5)], float("inf")
+    )
+    result = solve_milp(model, method="lp")
+    assert result.status == UNBOUNDED
+    assert result.objective is None
+    assert result.best_bound == float("inf")
+    assert result.nodes_processed == 1
+    assert result.lp_iterations > 0
+
+
+def test_lp_engine_min_sense_integer_program():
+    model = _integer_program(
+        "min", (("X", 1.0), ("Y", 1.0)), [((("X", 2.0), ("Y", 2.0)), ">=", 3.0)], 10.0
+    )
+    result = solve_milp(model, method="lp")
+    assert result.status == OPTIMAL
+    assert result.objective == 2.0
+    assert result.best_bound == 2.0
+    assert result.nodes_processed == 2
+    assert result.assignment["X"] + result.assignment["Y"] == 2.0
+    with pytest.raises(TimeLimitNoIncumbentError):
+        solve_milp(model, SolveConfig(node_limit=0), method="lp")
 
 
 def test_parsed_model_solves_identically(rng):
