@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GroupTreeError as exc:
+    except (GroupTreeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--simple-branching", action="store_true",
                        help="restrict tests to single original bits via (bit, complement) groups")
 
-    def add_model_flags(p):
+    def add_model_flags(p, specificity=_rational):
         p.add_argument("--topology", default="depth2",
                        help="preset name or parenthesis shape, e.g. '((# #) (# #))'")
         p.add_argument("--no-strengthen", action="store_true")
@@ -70,12 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="keep routing variables for wrong-class leaves")
         p.add_argument("--forbid-trivial", action="store_true",
                        help="forbid tests that route all samples one way")
-        p.add_argument("--class-weight", default="1",
+        p.add_argument("--class-weight", type=_rational, default="1",
                        help="weight of each correct negative (rational, e.g. 3/2)")
-        p.add_argument("--min-specificity", default=None,
-                       help="train for max sensitivity at this specificity floor")
-        p.add_argument("--min-sensitivity", default=None,
-                       help="train for max specificity at this sensitivity floor")
+        floor = p.add_mutually_exclusive_group()
+        floor.add_argument("--min-specificity", type=specificity, default=None,
+                           help="train for max sensitivity at this specificity floor "
+                                "(sweep: comma-separated floors)")
+        floor.add_argument("--min-sensitivity", type=_rational, default=None,
+                           help="train for max specificity at this sensitivity floor")
 
     def add_run_flags(p):
         p.add_argument("--time-limit", type=float, default=1800.0)
@@ -83,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stop branch and bound after this many nodes")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="artifact path (default stdout)")
-        p.add_argument("--emit", default="json", choices=["table", "json", "mps", "lp"])
+        p.add_argument("--emit", default="json", choices=["table", "json"])
 
     p = sub.add_parser("encode", help="write the grouped one-hot dataset as JSON")
     add_data_flags(p)
@@ -128,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="max-sensitivity solves over specificity floors")
     add_data_flags(p)
-    add_model_flags(p)
+    add_model_flags(p, specificity=lambda text: [_rational(v) for v in text.split(",")])
     add_run_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -136,6 +138,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # -- helpers ----------------------------------------------------------------
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _load_data(args) -> EncodedDataset:
@@ -162,21 +171,18 @@ def _topology(name: str):
 
 
 def _build_config(args) -> BuildConfig:
-    mode = "accuracy"
-    min_spec = min_sens = None
-    if args.min_specificity is not None:
-        mode = "max_sensitivity"
-        min_spec = Fraction(args.min_specificity.split(",")[0])
-    if args.min_sensitivity is not None:
-        mode = "max_specificity"
-        min_sens = Fraction(args.min_sensitivity)
+    min_spec, min_sens = args.min_specificity, args.min_sensitivity
+    if isinstance(min_spec, list):  # sweep floors: the config echo shows the first
+        min_spec = min_spec[0]
+    mode = ("max_specificity" if min_sens is not None
+            else "max_sensitivity" if min_spec is not None else "accuracy")
     return BuildConfig(
         strengthen=not args.no_strengthen,
         anchor=not args.no_anchor,
         relax_integrality=not args.no_relax,
         drop_unused_c=not args.keep_unused_c,
         forbid_trivial_branch=args.forbid_trivial,
-        class_weight=Fraction(args.class_weight),
+        class_weight=args.class_weight,
         mode=mode,
         min_specificity=min_spec,
         min_sensitivity=min_sens,
@@ -212,16 +218,24 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _solve_config(args) -> SolveConfig:
+    return SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit)
 
 
-def _metrics_block(metrics) -> dict:
-    return metrics.as_dict()
+def _emit(args, payload: dict, table_text: str) -> None:
+    """Write ``table_text`` under ``--emit table``, else ``payload`` as JSON."""
+    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(args, table_text if args.emit == "table" else json_text)
 
 
-def _solve_block(result) -> dict:
-    return result.as_dict()
+def _run_block(run) -> dict:
+    """Run-JSON keys shared by ``train`` and ``cv``."""
+    return {
+        "solve": run.solve.as_dict(),
+        "train_metrics": run.train_metrics.as_dict(),
+        "test_metrics": run.test_metrics.as_dict(),
+        "tree": json.loads(run.tree.to_json()),
+    }
 
 
 def _metrics_table(rows: list[tuple]) -> str:
@@ -243,35 +257,19 @@ def cmd_encode(args) -> int:
 
 def cmd_train(args) -> int:
     data = _load_data(args)
-    topo = _topology(args.topology)
-    run = train_test_run(
-        data,
-        topo,
-        _build_config(args),
-        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit),
-        seed=args.seed,
-    )
+    run = train_test_run(data, _topology(args.topology), _build_config(args),
+                         _solve_config(args), seed=args.seed)
+    rendered = run.tree.render(data.schema)
+    rows = [("side", "accuracy", "tpr", "tnr")]
+    for side, m in (("train", run.train_metrics), ("test", run.test_metrics)):
+        rows.append((side, f"{m.accuracy:.4f}", f"{m.sensitivity:.4f}", f"{m.specificity:.4f}"))
     payload = {
         "config": _config_echo(args),
-        "split": {
-            "train_size": len(run.train_indices),
-            "test_size": len(run.test_indices),
-        },
-        "solve": _solve_block(run.solve),
-        "train_metrics": _metrics_block(run.train_metrics),
-        "test_metrics": _metrics_block(run.test_metrics),
-        "tree": json.loads(run.tree.to_json()),
-        "tree_rendered": run.tree.render(data.schema).splitlines(),
+        "split": {"train_size": len(run.train_indices), "test_size": len(run.test_indices)},
+        **_run_block(run),
+        "tree_rendered": rendered.splitlines(),
     }
-    if args.emit == "table":
-        rows = [("side", "accuracy", "tpr", "tnr")]
-        for side, m in (("train", run.train_metrics), ("test", run.test_metrics)):
-            rows.append(
-                (side, f"{m.accuracy:.4f}", f"{m.sensitivity:.4f}", f"{m.specificity:.4f}")
-            )
-        _write(args, _metrics_table(rows) + run.tree.render(data.schema) + "\n")
-    else:
-        _emit_json(args, payload)
+    _emit(args, payload, _metrics_table(rows) + rendered + "\n")
     return EXIT_OK if run.solve.status == OPTIMAL else EXIT_TIME_LIMIT
 
 
@@ -288,14 +286,11 @@ def cmd_eval(args) -> int:
     data = _load_data(args)
     tree = DecisionTree.from_json(Path(args.tree).read_text(encoding="utf-8"))
     metrics = evaluate(tree, data)
-    if args.emit == "table":
-        rows = [("n", "accuracy", "tpr", "tnr"),
-                (metrics.n, f"{metrics.accuracy:.4f}",
-                 f"{metrics.sensitivity:.4f}", f"{metrics.specificity:.4f}")]
-        _write(args, _metrics_table(rows))
-    else:
-        _emit_json(args, {"config": _config_echo(args, {"tree": args.tree}),
-                          "metrics": _metrics_block(metrics)})
+    rows = [("n", "accuracy", "tpr", "tnr"),
+            (metrics.n, f"{metrics.accuracy:.4f}",
+             f"{metrics.sensitivity:.4f}", f"{metrics.specificity:.4f}")]
+    _emit(args, {"config": _config_echo(args, {"tree": args.tree}),
+                 "metrics": metrics.as_dict()}, _metrics_table(rows))
     return EXIT_OK
 
 
@@ -303,30 +298,20 @@ def cmd_cv(args) -> int:
     data = _load_data(args)
     topologies = [_topology(t.strip()) for t in args.topologies.split(",")]
     result = cross_validate_topology(
-        data,
-        topologies,
-        _build_config(args),
-        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit),
-        seed=args.seed,
+        data, topologies, _build_config(args), _solve_config(args), seed=args.seed
     )
     payload = {
         "config": _config_echo(args, {"topologies": args.topologies}),
         "chosen": result.chosen,
         "chosen_leaf_count": result.chosen_leaf_count,
         "mean_validation_accuracy": result.mean_validation_accuracy,
-        "solve": _solve_block(result.final.solve),
-        "train_metrics": _metrics_block(result.final.train_metrics),
-        "test_metrics": _metrics_block(result.final.test_metrics),
-        "tree": json.loads(result.final.tree.to_json()),
+        **_run_block(result.final),
     }
-    if args.emit == "table":
-        rows = [("topology", "mean_val_acc")]
-        for name, acc in result.mean_validation_accuracy.items():
-            rows.append((name, f"{acc:.4f}"))
-        rows.append(("chosen", result.chosen))
-        _write(args, _metrics_table(rows))
-    else:
-        _emit_json(args, payload)
+    rows = [("topology", "mean_val_acc")]
+    for name, acc in result.mean_validation_accuracy.items():
+        rows.append((name, f"{acc:.4f}"))
+    rows.append(("chosen", result.chosen))
+    _emit(args, payload, _metrics_table(rows))
     return EXIT_OK if result.final.solve.status == OPTIMAL else EXIT_TIME_LIMIT
 
 
@@ -343,16 +328,14 @@ def cmd_oracle(args) -> int:
         min_sensitivity=cfg.min_sensitivity,
         budget=args.budget,
     )
+    rendered = tree.render(data.schema)
     payload = {
         "config": _config_echo(args),
         "objective": float(objective),
         "tree": json.loads(tree.to_json()),
-        "tree_rendered": tree.render(data.schema).splitlines(),
+        "tree_rendered": rendered.splitlines(),
     }
-    if args.emit == "table":
-        _write(args, f"objective {float(objective)}\n" + tree.render(data.schema) + "\n")
-    else:
-        _emit_json(args, payload)
+    _emit(args, payload, f"objective {float(objective)}\n{rendered}\n")
     return EXIT_OK
 
 
@@ -361,18 +344,8 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs --min-specificity with comma-separated floors",
               file=sys.stderr)
         return EXIT_USAGE
-    data = _load_data(args)
-    topo = _topology(args.topology)
-    floors = [Fraction(v) for v in args.min_specificity.split(",")]
-    base = _build_config(args)
-    rows = sensitivity_sweep(
-        data,
-        topo,
-        floors,
-        base,
-        SolveConfig(time_limit=args.time_limit, node_limit=args.node_limit),
-        seed=args.seed,
-    )
+    rows = sensitivity_sweep(_load_data(args), _topology(args.topology), args.min_specificity,
+                             _build_config(args), _solve_config(args), seed=args.seed)
     payload = {
         "config": _config_echo(args),
         "rows": [
@@ -388,16 +361,13 @@ def cmd_sweep(args) -> int:
             for r in rows
         ],
     }
-    if args.emit == "table":
-        table = [("beta", "train_tpr", "train_tnr", "test_tpr", "test_tnr", "status")]
-        for r in rows:
-            table.append(
-                (str(r.floor), f"{r.train_sensitivity:.4f}", f"{r.train_specificity:.4f}",
-                 f"{r.test_sensitivity:.4f}", f"{r.test_specificity:.4f}", r.status)
-            )
-        _write(args, _metrics_table(table))
-    else:
-        _emit_json(args, payload)
+    table = [("beta", "train_tpr", "train_tnr", "test_tpr", "test_tnr", "status")]
+    for r in rows:
+        table.append(
+            (str(r.floor), f"{r.train_sensitivity:.4f}", f"{r.train_specificity:.4f}",
+             f"{r.test_sensitivity:.4f}", f"{r.test_specificity:.4f}", r.status)
+        )
+    _emit(args, payload, _metrics_table(table))
     if any(r.status != OPTIMAL for r in rows):
         return EXIT_TIME_LIMIT
     return EXIT_OK

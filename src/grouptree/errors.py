@@ -49,6 +49,10 @@ class NameOverflowError(GroupTreeError):
     """An identifier exceeds the file format's name-length limit."""
 
 
+class MalformedTreeError(GroupTreeError, ValueError):
+    """A tree does not fit its shape or its feature groups, or its JSON is bad."""
+
+
 class MpsParseError(GroupTreeError):
     """MPS input could not be parsed."""
 

@@ -68,22 +68,23 @@ def protocol_split(n_samples: int, seed: int, rng: SplitMix64 | None = None):
     return sorted(idx[:train_size]), sorted(idx[train_size:])
 
 
-def train_test_run(
-    data: EncodedDataset,
-    topology: TreeTopology,
-    config: BuildConfig | None = None,
-    solve_config: SolveConfig | None = None,
-    seed: int = 0,
-) -> TrainTestResult:
-    """One protocol run: split, train to (near-)optimality, score both sides."""
-    config = config or BuildConfig()
-    solve_config = solve_config or SolveConfig()
-    train_idx, test_idx = protocol_split(data.n_samples, seed)
-    train = data.subset(train_idx)
-    test = data.subset(test_idx)
+def _fit(train: EncodedDataset, topology, config, solve_config):
+    """Lower to the integer program, solve it, read the tree back.
+
+    Every protocol trains through here.  ``build_model``, ``solve_milp`` and
+    ``extract_tree`` are module globals looked up at call time, so callers
+    can wrap them in this module.
+    """
     model = build_model(train, topology, config)
     result = solve_milp(model, solve_config)
-    tree = extract_tree(result, topology, data.schema)
+    return extract_tree(result, topology, train.schema), result
+
+
+def _train_test(data, train_idx, test_idx, topology, config, solve_config, seed):
+    """Train on ``train_idx`` and score the tree on both sides."""
+    train = data.subset(train_idx)
+    test = data.subset(test_idx)
+    tree, result = _fit(train, topology, config, solve_config)
     return TrainTestResult(
         seed=seed,
         train_indices=tuple(train_idx),
@@ -93,6 +94,19 @@ def train_test_run(
         tree=tree,
         solve=result,
     )
+
+
+def train_test_run(
+    data: EncodedDataset,
+    topology: TreeTopology,
+    config: BuildConfig | None = None,
+    solve_config: SolveConfig | None = None,
+    seed: int = 0,
+) -> TrainTestResult:
+    """One protocol run: split, train to (near-)optimality, score both sides."""
+    train_idx, test_idx = protocol_split(data.n_samples, seed)
+    config, solve_config = config or BuildConfig(), solve_config or SolveConfig()
+    return _train_test(data, train_idx, test_idx, topology, config, solve_config, seed)
 
 
 def cross_validate_topology(
@@ -119,14 +133,10 @@ def cross_validate_topology(
     mean_acc: dict[str, float] = {}
     for topo in topologies:
         accs = []
-        for f in range(4):
-            val_idx = folds[f]
+        for val_idx in folds:
             fit_idx = sorted(set(pool_idx) - set(val_idx))
-            fit = data.subset(fit_idx)
-            val = data.subset(val_idx)
-            model = build_model(fit, topo, config)
-            result = solve_milp(model, solve_config)
-            tree = extract_tree(result, topo, data.schema)
+            fit, val = data.subset(fit_idx), data.subset(val_idx)
+            tree, _ = _fit(fit, topo, config, solve_config)
             accs.append(evaluate(tree, val).accuracy)
         mean_acc[topo.name] = sum(accs) / len(accs)
 
@@ -136,20 +146,7 @@ def cross_validate_topology(
 
     _, chosen = min(enumerate(topologies), key=rank)
 
-    train = data.subset(pool_idx)
-    test = data.subset(test_idx)
-    model = build_model(train, chosen, config)
-    result = solve_milp(model, solve_config)
-    tree = extract_tree(result, chosen, data.schema)
-    final = TrainTestResult(
-        seed=seed,
-        train_indices=tuple(pool_idx),
-        test_indices=tuple(test_idx),
-        train_metrics=evaluate(tree, train),
-        test_metrics=evaluate(tree, test),
-        tree=tree,
-        solve=result,
-    )
+    final = _train_test(data, pool_idx, test_idx, chosen, config, solve_config, seed)
     return CrossValidationResult(
         seed=seed,
         chosen=chosen.name,
@@ -177,21 +174,13 @@ def sensitivity_sweep(
     train = data.subset(train_idx)
     test = data.subset(test_idx)
     rows = []
-    for beta in floors:
-        cfg = replace(
-            base,
-            mode="max_sensitivity",
-            min_specificity=Fraction(beta),
-            min_sensitivity=None,
-        )
-        model = build_model(train, topology, cfg)
-        result = solve_milp(model, solve_config)
-        tree = extract_tree(result, topology, data.schema)
-        train_m = evaluate(tree, train)
-        test_m = evaluate(tree, test)
+    for beta in map(Fraction, floors):
+        cfg = replace(base, mode="max_sensitivity", min_specificity=beta, min_sensitivity=None)
+        tree, result = _fit(train, topology, cfg, solve_config)
+        train_m, test_m = evaluate(tree, train), evaluate(tree, test)
         rows.append(
             SweepRow(
-                floor=Fraction(beta),
+                floor=beta,
                 train_sensitivity=train_m.sensitivity,
                 train_specificity=train_m.specificity,
                 test_sensitivity=test_m.sensitivity,

@@ -8,6 +8,8 @@ best-effort.  Output is byte-deterministic for equal models.
 
 from __future__ import annotations
 
+import math
+
 from .errors import MpsParseError, NameOverflowError
 from .model import Constraint, MilpModel, Variable
 
@@ -96,6 +98,9 @@ def parse_mps(text: str) -> MilpModel:
 
     Accepts the writer's layout exactly; other MPS files are parsed on a
     best-effort basis (no RANGES, no free or semicontinuous variables).
+    Every number must be finite, except ``UP ... inf`` for no upper bound.
+    A row name declared twice, or a (column, row) entry given twice, is an
+    error.
     """
     name = "PARSED"
     sense = "min"  # MPS convention when no OBJSENSE is given
@@ -105,6 +110,7 @@ def parse_mps(text: str) -> MilpModel:
     row_order: list[str] = []
     row_coeffs: dict[str, list[tuple[str, float]]] = {}
     obj_coeffs: list[tuple[str, float]] = []
+    entries: set[tuple[str, str]] = set()
     var_order: list[str] = []
     var_set: set[str] = set()
     var_integer: dict[str, bool] = {}
@@ -118,11 +124,15 @@ def parse_mps(text: str) -> MilpModel:
     def fail(line_no, msg):
         raise MpsParseError(msg, line_no=line_no)
 
-    def number(line_no, text, what):
+    def number(line_no, text, what, no_limit=False):
+        """A finite float, or +inf where ``no_limit`` (an UP bound without a limit)."""
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) or (no_limit and value == math.inf)):
             fail(line_no, f"bad {what} {text!r}")
+        return value
 
     def objective_sense(line_no, word):
         s = word.lower()
@@ -161,6 +171,8 @@ def parse_mps(text: str) -> MilpModel:
             if len(fields) != 2:
                 fail(line_no, "ROWS lines need a type and a name")
             rtype, rname = fields[0].upper(), fields[1]
+            if rname in row_sense or rname == obj_row:
+                fail(line_no, f"row {rname!r} is declared twice")
             if rtype == "N":
                 if obj_row is None:
                     obj_row = rname
@@ -190,6 +202,9 @@ def parse_mps(text: str) -> MilpModel:
             for t in range(1, len(fields), 2):
                 row, val_s = fields[t], fields[t + 1]
                 val = number(line_no, val_s, "coefficient")
+                if (col, row) in entries:
+                    fail(line_no, f"column {col!r} has two entries in row {row!r}")
+                entries.add((col, row))
                 if row == obj_row:
                     if val != 0.0:
                         obj_coeffs.append((col, val))
@@ -214,7 +229,7 @@ def parse_mps(text: str) -> MilpModel:
             if btype in ("UP", "LO", "FX"):
                 if len(fields) < 4:
                     fail(line_no, f"{btype} bounds need a value")
-                value = number(line_no, fields[3], "bound")
+                value = number(line_no, fields[3], "bound", no_limit=btype == "UP")
             if btype == "UP":
                 var_upper[col] = value
             elif btype == "LO":

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .encoding import EncodedDataset, GroupSchema
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, MalformedTopologyError, MalformedTreeError
 from .topology import TreeTopology, parse_shape
 
 PRED_POSITIVE = 1
 PRED_NEGATIVE = -1
+_JSON_KEYS = ("shape", "n_features", "group_sizes", "tests")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -22,6 +28,9 @@ class DecisionTree:
     A sample branches left at node ``k`` exactly when its active feature is in
     ``tests[k]``'s subset.  Empty and full subsets are legal; they route every
     sample the same way.  Leaf labels are fixed by leaf parity (even -> +1).
+    Group ``g`` owns the contiguous features after the first ``g`` groups; a
+    test's features must lie in its group, and every decision node, and no
+    other, has a test.  A tree that breaks this raises ``MalformedTreeError``.
     """
 
     topology: TreeTopology
@@ -30,9 +39,27 @@ class DecisionTree:
     group_sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n_features != sum(self.group_sizes):
+            raise MalformedTreeError(
+                f"{self.n_features} features, but the group sizes "
+                f"{list(self.group_sizes)} add up to {sum(self.group_sizes)}"
+            )
         for k in self.topology.decision_nodes:
             if k not in self.tests:
-                raise ValueError(f"no test for decision node {k}")
+                raise MalformedTreeError(f"no test for decision node {k}")
+        starts = (0, *accumulate(self.group_sizes))
+        for k, (g, subset) in self.tests.items():
+            if k not in self.topology.children:
+                raise MalformedTreeError(f"test for node {k}, which is not a decision node")
+            if not 0 <= g < len(self.group_sizes):
+                raise MalformedTreeError(
+                    f"node {k} tests group {g}; the tree has {len(self.group_sizes)} groups"
+                )
+            if any(not starts[g] <= j < starts[g + 1] for j in subset):
+                raise MalformedTreeError(
+                    f"node {k} tests features {sorted(subset)}, not all in group {g} "
+                    f"(features {starts[g]}..{starts[g + 1] - 1})"
+                )
 
     def route(self, sample: np.ndarray) -> int:
         """Leaf id reached by one encoded sample."""
@@ -92,17 +119,47 @@ class DecisionTree:
 
     @staticmethod
     def from_json(text: str) -> "DecisionTree":
-        payload = json.loads(text)
-        topo = parse_shape(payload["shape"], name=payload.get("topology_name", "custom"))
-        tests = {
-            int(k): (entry["group"], frozenset(entry["features"]))
-            for k, entry in payload["tests"].items()
-        }
+        """Read a tree written by ``to_json``; bad input raises ``MalformedTreeError``."""
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedTreeError(f"tree is not JSON: {exc}") from None
+        if not isinstance(payload, dict) or any(key not in payload for key in _JSON_KEYS):
+            raise MalformedTreeError(f"a tree is a JSON object with keys {list(_JSON_KEYS)}")
+        shape, name = payload["shape"], payload.get("topology_name", "custom")
+        sizes, tests = payload["group_sizes"], payload["tests"]
+        if not (
+            isinstance(shape, str)
+            and isinstance(name, str)
+            and _is_int(payload["n_features"])
+            and isinstance(sizes, list)
+            and all(_is_int(size) and size > 0 for size in sizes)
+            and isinstance(tests, dict)
+            and all(
+                k.isdecimal()
+                and isinstance(entry, dict)
+                and _is_int(entry.get("group"))
+                and isinstance(entry.get("features"), list)
+                and all(_is_int(j) for j in entry["features"])
+                for k, entry in tests.items()
+            )
+        ):
+            raise MalformedTreeError(
+                "a tree needs a shape text, integer n_features, positive integer "
+                "group_sizes, and tests of the form {node: {group, features}}"
+            )
+        try:
+            topo = parse_shape(shape, name=name)
+        except MalformedTopologyError as exc:
+            raise MalformedTreeError(f"bad tree shape: {exc}") from None
         return DecisionTree(
             topology=topo,
-            tests=tests,
+            tests={
+                int(k): (entry["group"], frozenset(entry["features"]))
+                for k, entry in tests.items()
+            },
             n_features=payload["n_features"],
-            group_sizes=tuple(payload["group_sizes"]),
+            group_sizes=tuple(sizes),
         )
 
     def render(self, schema: GroupSchema | None = None) -> str:

@@ -179,3 +179,84 @@ def test_oracle_table_emission(toy, capsys):
     code = main(["oracle", "--data", str(toy), "--emit", "table"])
     assert code == 0
     assert "objective" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--class-weight", "abc"],
+        ["train", "--class-weight", "1/0"],
+        ["train", "--min-specificity", "abc"],
+        ["train", "--min-sensitivity", "0.9x"],
+        ["sweep", "--min-specificity", "0.5,abc"],
+    ],
+    ids=["weight", "weight-zero-denominator", "specificity", "sensitivity", "sweep-floor"],
+)
+def test_bad_rational_is_usage_error(toy, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--data", str(toy)])
+    assert err.value.code == 2
+    assert "not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "sweep", "export", "oracle"])
+def test_floor_flags_are_mutually_exclusive(toy, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--data", str(toy), "--min-specificity", "0.9",
+              "--min-sensitivity", "0.9"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "export", "oracle"])
+def test_floor_list_only_in_sweep(toy, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--data", str(toy), "--min-specificity", "0.5,0.9"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "sweep"])
+@pytest.mark.parametrize("emit", ["mps", "lp"])
+def test_model_formats_only_in_export(toy, command, emit):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--data", str(toy), "--min-specificity", "0.5", "--emit", emit])
+    assert err.value.code == 2
+
+
+def test_missing_data_file_is_reported(tmp_path, capsys):
+    code = main(["train", "--data", str(tmp_path / "missing.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.csv" in err
+
+
+def test_undecodable_data_file_is_reported(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"a,b\n\xff\xfe,1\n")
+    assert main(["encode", "--data", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["not json", '{"shape": "((# #) (# #))"}'],
+    ids=["not-json", "no-tests"],
+)
+def test_malformed_tree_file_is_reported(toy, tmp_path, capsys, text):
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(text, encoding="utf-8")
+    assert main(["eval", "--data", str(toy), "--tree", str(tree_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_tree_with_foreign_group_is_rejected(monks3, tmp_path, capsys):
+    run_path = tmp_path / "run.json"
+    assert main(["train", "--data", str(monks3), "--label-col", "class", "--seed", "1",
+                 "--out", str(run_path)]) == 0
+    tree = json.loads(run_path.read_text())["tree"]
+    tree["tests"]["1"]["group"] = 17
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(tree), encoding="utf-8")
+    code = main(["eval", "--data", str(monks3), "--label-col", "class",
+                 "--tree", str(tree_path)])
+    assert code == 1
+    assert "group 17" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -155,9 +156,13 @@ def test_corrupted_mps_raises_only_grouptree_errors(rng):
     for case in range(1000):
         bad = corrupt(text, random.Random(f"mps:{case}"))
         try:
-            parse_mps(bad)
+            model = parse_mps(bad)
         except GroupTreeError:
-            pass
+            continue
+        values = [coef for _, coef in model.objective]
+        for con in model.constraints:
+            values += [con.rhs] + [coef for _, coef in con.coeffs]
+        assert all(math.isfinite(v) for v in values), case
 
 
 def test_ranges_rejected():
@@ -225,3 +230,70 @@ def test_fractional_coefficients_round_trip(rng):
     )
     again = parse_mps(export_mps(model))
     assert model.semantically_equal(again)
+
+
+VALUE_MODEL = """NAME          V
+OBJSENSE MAX
+ROWS
+ N  OBJ
+ L  R1
+COLUMNS
+    X               OBJ             1
+    X               R1              {coef}
+RHS
+    RHS             R1              {rhs}
+BOUNDS
+ {btype} BND             X               {bound}
+ENDATA
+"""
+
+
+@pytest.mark.parametrize(
+    "values, line",
+    [
+        (dict(coef="nan"), 8),
+        (dict(coef="inf"), 8),
+        (dict(coef="-inf"), 8),
+        (dict(rhs="nan"), 10),
+        (dict(rhs="inf"), 10),
+        (dict(bound="nan"), 12),
+        (dict(btype="UP", bound="-inf"), 12),
+        (dict(btype="LO", bound="inf"), 12),
+        (dict(btype="LO", bound="-inf"), 12),
+        (dict(btype="FX", bound="inf"), 12),
+    ],
+    ids=["coef-nan", "coef-inf", "coef-minus-inf", "rhs-nan", "rhs-inf", "bound-nan",
+         "up-minus-inf", "lo-inf", "lo-minus-inf", "fx-inf"],
+)
+def test_non_finite_numbers_are_rejected(values, line):
+    fields = dict(coef="1", rhs="1", btype="UP", bound="5") | values
+    with pytest.raises(MpsParseError, match=f"line {line}: bad"):
+        parse_mps(VALUE_MODEL.format(**fields))
+
+
+def test_infinite_upper_bound_means_no_limit():
+    model = parse_mps(VALUE_MODEL.format(coef="1", rhs="1", btype="UP", bound="inf"))
+    assert model.variables[0].upper == math.inf
+    assert solve_lp(model)[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [(" L  R1\n", " L  R1\n L  R1\n", 6),
+     (" N  OBJ\n", " N  OBJ\n N  OBJ\n", 5),
+     (" L  R1\n", " L  OBJ\n", 5)],
+    ids=["constraint", "objective", "constraint-named-like-objective"],
+)
+def test_row_declared_twice_is_rejected(old, new, line):
+    text = VALUE_MODEL.format(coef="1", rhs="1", btype="UP", bound="5").replace(old, new)
+    with pytest.raises(MpsParseError, match=f"line {line}: row .* declared twice"):
+        parse_mps(text)
+
+
+@pytest.mark.parametrize("row", ["R1", "OBJ"])
+def test_repeated_column_entry_is_rejected(row):
+    entry = f"    X               {row:<16}1\n"
+    text = VALUE_MODEL.format(coef="1", rhs="1", btype="UP", bound="5")
+    text = text.replace("RHS\n", entry + "RHS\n", 1)
+    with pytest.raises(MpsParseError, match=f"line 9: column 'X' has two entries in row '{row}'"):
+        parse_mps(text)

@@ -1,11 +1,16 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
-from grouptree.encoding import EncodedDataset, GroupSchema
-from grouptree.errors import DimensionMismatchError
+from grouptree.datasets import monks
+from grouptree.encoding import EncodedDataset, GroupSchema, build_schema, encode
+from grouptree.errors import DimensionMismatchError, GroupTreeError, MalformedTreeError
+from grouptree.experiments import train_test_run
 from grouptree.topology import preset
 from grouptree.tree import DecisionTree, Metrics, evaluate
-from tests.conftest import make_schema, random_dataset
+from tests.conftest import corrupt, make_schema, random_dataset
 
 # Worked example: six bits in two groups {a1..a4} and {a5, a6}; the root
 # tests membership in {a1, a2}, the left child tests {a6}, the right {a3}.
@@ -128,3 +133,74 @@ def test_evaluate_rejects_mismatched_groups(rng):
     )
     with pytest.raises(DimensionMismatchError):
         evaluate(tree, data)
+
+
+def _edited(edit) -> str:
+    payload = json.loads(worked_tree().to_json())
+    edit(payload)
+    return json.dumps(payload)
+
+
+def _set_test(node, group, features):
+    return lambda p: p["tests"].__setitem__(node, {"group": group, "features": features})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[" * 100_000,
+        "[1, 2]",
+        _edited(lambda p: p.pop("tests")),
+        _edited(lambda p: p.pop("shape")),
+        _edited(lambda p: p["tests"].pop("3")),
+        _edited(_set_test("9", 0, [0])),
+        _edited(_set_test("1", 0, [99])),
+        _edited(_set_test("1", 17, [0])),
+        _edited(_set_test("1", 0, [0, 5])),
+        _edited(_set_test("1", 0, ["0"])),
+        _edited(_set_test("x", 0, [0])),
+        _edited(lambda p: p["tests"].__setitem__("1", [0, [0]])),
+        _edited(lambda p: p.__setitem__("n_features", 7)),
+        _edited(lambda p: p.__setitem__("n_features", True)),
+        _edited(lambda p: p.__setitem__("group_sizes", [4, 0, 2])),
+        _edited(lambda p: p.__setitem__("shape", "((# #)")),
+        _edited(lambda p: p.__setitem__("shape", 3)),
+    ],
+    ids=["not-json", "deep-nesting", "not-object", "no-tests", "no-shape", "missing-node", "unknown-node",
+         "feature-99", "group-17", "two-groups", "string-feature", "bad-node-key",
+         "test-not-object", "feature-count", "bool-feature-count", "empty-group",
+         "bad-shape", "shape-not-text"],
+)
+def test_malformed_tree_json_is_rejected(text):
+    with pytest.raises(MalformedTreeError):
+        DecisionTree.from_json(text)
+
+
+def test_malformed_tree_is_a_value_error():
+    with pytest.raises(ValueError, match="no test for decision node 3"):
+        DecisionTree(
+            topology=preset("depth2"),
+            tests={1: (0, frozenset({0})), 2: (1, frozenset({5}))},
+            n_features=6,
+            group_sizes=(4, 2),
+        )
+
+
+def test_corrupted_tree_json_raises_only_grouptree_errors():
+    table = monks(3)
+    data = encode(table, build_schema(table))
+    text = train_test_run(data, preset("depth2"), seed=1).tree.to_json()
+    parsed = 0
+    for case in range(1000):
+        bad = corrupt(text, random.Random(f"tree:{case}"))
+        try:
+            tree = DecisionTree.from_json(bad)
+            evaluate(tree, data)
+        except GroupTreeError:
+            continue
+        parsed += 1
+        starts = np.cumsum((0,) + tree.group_sizes)
+        for g, subset in tree.tests.values():
+            assert all(starts[g] <= j < starts[g + 1] for j in subset), case
+    assert 0 < parsed < 1000
