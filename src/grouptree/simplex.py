@@ -20,6 +20,11 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 ZERO_STEP = 1e-12
 STALL_LIMIT = 1000
+# Pivot updates of fewer entries than this gather their rows into one block.
+# Larger ones (256 KB of float64 and up, a dense column of a big tableau)
+# update runs of rows in place: copying such a block out and back costs more
+# than the row loop it replaces.
+_BLOCK = 1 << 15
 
 BASIC, AT_LO, AT_UP = 0, 1, 2
 
@@ -94,15 +99,12 @@ class BoundedSimplex:
 
     def resolve_dual(self) -> str:
         """Re-optimize after bound updates, starting from the current basis."""
-        for j in range(self.n_total):
-            if self.status_col[j] == AT_LO:
-                self.value[j] = self.lower[j]
-            elif self.status_col[j] == AT_UP:
-                if np.isfinite(self.upper[j]):
-                    self.value[j] = self.upper[j]
-                else:
-                    self.status_col[j] = AT_LO
-                    self.value[j] = self.lower[j]
+        kind = self.status_col
+        kind[(kind == AT_UP) & ~np.isfinite(self.upper)] = AT_LO
+        at_lo = kind == AT_LO
+        at_up = kind == AT_UP
+        self.value[at_lo] = self.lower[at_lo]
+        self.value[at_up] = self.upper[at_up]
         self._recompute_beta()
         status = self._dual()
         if status == OPTIMAL:
@@ -241,9 +243,11 @@ class BoundedSimplex:
 
     def _primal(self, phase_one: bool = False) -> str:
         limit = 20000 + 200 * (self.m + self.n_total)
+        steps = 0
         while True:
+            steps += 1
             self.iterations += 1
-            if self.iterations > limit:
+            if steps > limit:
                 raise NumericalFailureError("primal simplex iteration limit")
             mask = self._eligible_entering()
             idx = np.flatnonzero(mask)
@@ -306,13 +310,21 @@ class BoundedSimplex:
         new_val = (self.value[e] if self.status_col[e] != BASIC else self.beta[r]) + direction * t
 
         self.beta -= direction * t * col
-        piv = self.T[r, e]
-        self.T[r] /= piv
-        others = np.flatnonzero(np.abs(col) > 0)
-        for i in others:
-            if i != r:
-                self.T[i] -= col[i] * self.T[r]
-        self.zc -= self.zc[e] * self.T[r, : self.n_total]
+        T = self.T
+        T[r] /= T[r, e]
+        pivot_row = T[r]
+        rows = np.flatnonzero(np.abs(col) > 0)
+        rows = rows[rows != r]
+        # Each row with a nonzero in the pivot column gets T[i] - col[i] * T[r]
+        # over its full width, the same product and difference per entry as a
+        # row-at-a-time update: skipping zero columns would leave -0.0 entries
+        # that x - (-0.0) turns into +0.0.  Rows with a zero are not touched.
+        if len(rows) * len(pivot_row) < _BLOCK:
+            T[rows] -= np.multiply.outer(col[rows], pivot_row)
+        else:  # in place, one slice per run of consecutive rows: no gathered copy
+            for a, b in _runs(rows):
+                T[a:b] -= np.multiply.outer(col[a:b], pivot_row)
+        self.zc -= self.zc[e] * T[r, : self.n_total]
         self.zc[e] = 0.0
 
         self.basis[r] = e
@@ -359,3 +371,11 @@ class BoundedSimplex:
             t = (self.beta[r] - target) / (direction * self.T[r, e])
             self._note_step(t)
             self._pivot(r, e, t, direction, leave_status)
+
+
+def _runs(rows: np.ndarray):
+    """(start, stop) of each run of consecutive indices in sorted ``rows``."""
+    breaks = np.flatnonzero(np.diff(rows) != 1) + 1
+    starts = rows[np.concatenate(([0], breaks))]
+    stops = rows[np.concatenate((breaks - 1, [len(rows) - 1]))] + 1
+    return zip(starts.tolist(), stops.tolist())

@@ -351,7 +351,9 @@ class _LpBranchAndBound:
         try:
             status = solver.resolve_dual()
         except NumericalFailureError:
-            return fresh()
+            failed = solver.iterations - before  # pivots spent before the failure
+            solver, status, spent = fresh()
+            return solver, status, failed + spent
         if status == simplex.UNBOUNDED:
             self._hot = None
         return solver, status, solver.iterations - before

@@ -23,6 +23,11 @@ PRESET_SHAPES = {
     "imbalanced": "((((# #) (# #)) (# #)) (# #))",
 }
 
+# Deepest nesting of parentheses parse_shape accepts.  Parsing, numbering and
+# path-building recurse once per level, so far deeper text would exhaust the
+# interpreter stack; a tree this deep is far past anything trainable anyway.
+_MAX_DEPTH = 100
+
 # Child slots hold ("node", id) or ("leaf", id).
 Child = tuple[str, int]
 
@@ -216,10 +221,16 @@ def anchor_eligible_nodes(topology: TreeTopology) -> set[int]:
 
 
 def _tokenize(text: str) -> list[str]:
+    """The shape's tokens; nesting is capped so the recursive walks stay shallow."""
     tokens = []
+    depth = 0
     for ch in text:
-        if ch in "()#":
-            tokens.append(ch)
-        elif not ch.isspace():
-            raise MalformedTopologyError(f"unexpected character {ch!r} in shape text")
+        if ch not in "()#":
+            if not ch.isspace():
+                raise MalformedTopologyError(f"unexpected character {ch!r} in shape text")
+            continue
+        tokens.append(ch)
+        depth += (ch == "(") - (ch == ")")
+        if depth > _MAX_DEPTH:
+            raise MalformedTopologyError(f"shape nests deeper than {_MAX_DEPTH} levels")
     return tokens

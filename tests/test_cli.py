@@ -248,6 +248,12 @@ def test_malformed_tree_file_is_reported(toy, tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_deeply_nested_topology_is_reported(toy, capsys):
+    assert main(["train", "--data", str(toy), "--topology", "(" * 3000]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "deeper than" in err
+
+
 def test_tree_with_foreign_group_is_rejected(monks3, tmp_path, capsys):
     run_path = tmp_path / "run.json"
     assert main(["train", "--data", str(monks3), "--label-col", "class", "--seed", "1",

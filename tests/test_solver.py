@@ -9,11 +9,13 @@ import grouptree.solver as solver_mod
 from grouptree.encoding import EncodedDataset
 from grouptree.errors import (
     FractionalSelectionError,
+    NumericalFailureError,
     TimeLimitNoIncumbentError,
 )
 from grouptree.model import BuildConfig, Constraint, MilpModel, Variable, build_model
 from grouptree.mps import export_mps, parse_mps
 from grouptree.oracle import enumerate_optimal
+from grouptree.simplex import BoundedSimplex
 from grouptree.solver import (
     FEASIBLE_TIME_LIMIT,
     INFEASIBLE,
@@ -357,6 +359,32 @@ def test_lp_engine_min_sense_integer_program():
     assert result.assignment["X"] + result.assignment["Y"] == 2.0
     with pytest.raises(TimeLimitNoIncumbentError):
         solve_milp(model, SolveConfig(node_limit=0), method="lp")
+
+
+def test_failed_resolve_pivots_are_counted(rng, monkeypatch):
+    # Every dual re-solve does its pivots and then fails, so each node after
+    # the root pays for a failed re-solve and a fresh solve; both are counted.
+    spent = {"resolve": 0, "fresh": 0}
+    resolve_dual, solve = BoundedSimplex.resolve_dual, BoundedSimplex.solve
+
+    def failing_resolve(self):
+        before = self.iterations
+        resolve_dual(self)
+        spent["resolve"] += self.iterations - before
+        raise NumericalFailureError("forced")
+
+    def counted_solve(self):
+        status = solve(self)
+        spent["fresh"] += self.iterations
+        return status
+
+    monkeypatch.setattr(BoundedSimplex, "resolve_dual", failing_resolve)
+    monkeypatch.setattr(BoundedSimplex, "solve", counted_solve)
+    data = random_dataset(rng, 16, [2, 3])
+    result = solve_milp(build_model(data, preset("depth2")), method="lp")
+    assert result.status == OPTIMAL
+    assert result.nodes_processed > 1 and spent["resolve"] > 0
+    assert result.lp_iterations == spent["fresh"] + spent["resolve"]
 
 
 def test_parsed_model_solves_identically(rng):

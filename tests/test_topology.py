@@ -139,6 +139,24 @@ def test_malformed_text():
         parse_shape("((# #) (# #)) extra")
 
 
+def _caterpillar(depth: int) -> str:
+    """A valid shape ``depth`` decision levels deep, nested down the left side."""
+    text = "(# #)"
+    for _ in range(depth - 1):
+        text = f"({text} (# #))"
+    return text
+
+
+def test_deep_nesting_is_malformed():
+    with pytest.raises(MalformedTopologyError, match="deeper than"):
+        parse_shape("(" * 3000)
+    with pytest.raises(MalformedTopologyError, match="deeper than"):
+        parse_shape(_caterpillar(101))
+    deepest = parse_shape(_caterpillar(100))
+    assert deepest.shape_text() == _caterpillar(100)
+    assert max(deepest.leaf_depth(b) for b in deepest.leaves) == 100
+
+
 def test_compute_paths_validates():
     topo = preset("depth3")
     left, right = compute_paths(topo)

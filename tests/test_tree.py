@@ -166,11 +166,12 @@ def _set_test(node, group, features):
         _edited(lambda p: p.__setitem__("group_sizes", [4, 0, 2])),
         _edited(lambda p: p.__setitem__("shape", "((# #)")),
         _edited(lambda p: p.__setitem__("shape", 3)),
+        _edited(lambda p: p.__setitem__("shape", "(" * 3000)),
     ],
     ids=["not-json", "deep-nesting", "not-object", "no-tests", "no-shape", "missing-node", "unknown-node",
          "feature-99", "group-17", "two-groups", "string-feature", "bad-node-key",
          "test-not-object", "feature-count", "bool-feature-count", "empty-group",
-         "bad-shape", "shape-not-text"],
+         "bad-shape", "shape-not-text", "deep-shape"],
 )
 def test_malformed_tree_json_is_rejected(text):
     with pytest.raises(MalformedTreeError):
