@@ -165,21 +165,52 @@ class EncodedDataset:
 
     @staticmethod
     def from_json(text: str) -> "EncodedDataset":
-        payload = json.loads(text)
-        groups = []
-        feature = 0
+        """Read a dataset written by ``to_json``; bad input raises a ``GroupTreeError``.
+
+        A label other than -1 or +1 is a ``NonBinaryLabelError``, a row that
+        is not one-hot an ``UnknownCategoryError``, anything else a
+        ``MalformedRowError``.
+        """
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedRowError(f"dataset is not JSON: {exc}") from None
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("schema"), dict)
+            and _is_list(payload["schema"].get("groups"), dict)
+            and all(
+                isinstance(entry.get("column"), str)
+                and _is_list(entry.get("categories"), str)
+                and 0 < len(entry["categories"]) == len(set(entry["categories"]))
+                for entry in payload["schema"]["groups"]
+            )
+            and isinstance(payload.get("labels"), list)
+            and _is_list(payload.get("matrix"), str)
+        ):
+            raise MalformedRowError(
+                "a dataset is a JSON object with schema.groups of {column, distinct "
+                "categories}, a labels list and a matrix of text rows"
+            )
+        groups, d = [], 0
         for entry in payload["schema"]["groups"]:
-            members = []
-            for cat in entry["categories"]:
-                members.append((feature, entry["column"], cat))
-                feature += 1
-            groups.append(tuple(members))
-        schema = GroupSchema(groups=tuple(groups))
-        matrix = np.array(
-            [[int(ch) for ch in row] for row in payload["matrix"]], dtype=np.uint8
+            cats = entry["categories"]
+            groups.append(tuple((d + t, entry["column"], c) for t, c in enumerate(cats)))
+            d += len(cats)
+        rows, labels = payload["matrix"], payload["labels"]
+        if len(labels) != len(rows):
+            raise MalformedRowError(f"{len(labels)} labels for {len(rows)} rows")
+        if not all(type(y) is int and y in (-1, 1) for y in labels):
+            raise NonBinaryLabelError("labels must be -1 or +1")
+        for i, row in enumerate(rows):
+            if len(row) != d or not set(row) <= {"0", "1"}:
+                raise MalformedRowError(f"row {i} is not {d} characters 0 or 1")
+        cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+        data = EncodedDataset(
+            matrix=(cells - ord("0")).reshape(len(rows), d),
+            labels=np.array(labels, dtype=np.int8),
+            schema=GroupSchema(groups=tuple(groups)),
         )
-        labels = np.array(payload["labels"], dtype=np.int8)
-        data = EncodedDataset(matrix=matrix, labels=labels, schema=schema)
         _check_one_hot(data)
         return data
 
@@ -303,6 +334,10 @@ def binarize_for_simple_branching(data: EncodedDataset) -> EncodedDataset:
         )
     schema = GroupSchema(groups=tuple(groups))
     return EncodedDataset(matrix=matrix, labels=data.labels.copy(), schema=schema)
+
+
+def _is_list(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
 def _check_one_hot(data: EncodedDataset) -> None:

@@ -8,7 +8,7 @@ class GroupTreeError(Exception):
 # --- data ingestion / encoding ---
 
 class MalformedRowError(GroupTreeError):
-    """A row has the wrong number of fields for its table."""
+    """A row does not fit its table, or an encoded dataset's JSON is malformed."""
 
 
 class NonBinaryLabelError(GroupTreeError):

@@ -198,7 +198,7 @@ class BoundedSimplex:
         c = np.zeros(self.n_total)
         c[self.art_cols] = -1.0
         self._set_costs(c)
-        status = self._primal(phase_one=True)
+        status = self._primal()
         if status != OPTIMAL:
             return status
         if self.objective_current() < -1e-6:
@@ -241,7 +241,7 @@ class BoundedSimplex:
         up_mask &= ~fixed
         return lo_mask | up_mask
 
-    def _primal(self, phase_one: bool = False) -> str:
+    def _primal(self) -> str:
         limit = 20000 + 200 * (self.m + self.n_total)
         steps = 0
         while True:
@@ -363,8 +363,7 @@ class BoundedSimplex:
             idx = np.flatnonzero(elig)
             if len(idx) == 0:
                 return INFEASIBLE
-            with np.errstate(divide="ignore"):
-                ratios = np.abs(self.zc[idx] / row[idx])
+            ratios = np.abs(self.zc[idx] / row[idx])
             e = int(idx[np.argmin(ratios)]) if not self.bland else int(idx[0])
 
             direction = +1 if self.status_col[e] == AT_LO else -1

@@ -18,7 +18,9 @@ split step:
 Nodes are taken best bound first; on equal bounds the child pushed last is
 taken first, so the search plunges depth-first.  In both engines bounds are
 monotone along the search tree and the incumbent is a feasible integral
-assignment, so ``optimal`` results carry a proof within the configured gap.
+assignment, so ``optimal`` results carry a proof.  The gap is fixed: under
+one unit for integral objectives, whose values differ by whole units, and
+1e-6 otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ FEASIBLE_TIME_LIMIT = "feasible_time_limit"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# how far a solved value may sit from an integer and still count as one
+_TOL = 1e-6
+
 ENUM_BUDGET = 4096
 ENUM_BUDGET_CONSTRAINED = 20000
 # closure batch limits: routed masks per batch, and floats per array in the
@@ -62,16 +67,9 @@ CHUNK_CELLS = 1 << 16
 @dataclass(frozen=True)
 class SolveConfig:
     time_limit: float = 1800.0
-    absolute_gap: float | None = None  # auto: 0.999 for integer objectives, else 1e-6
-    integrality_tolerance: float = 1e-6
     node_limit: int | None = None
     log_progress: bool = False
     callback: object = None  # callable(dict) per processed node
-
-    def gap_for(self, model: MilpModel) -> float:
-        if self.absolute_gap is not None:
-            return self.absolute_gap
-        return 0.999 if model.objective_is_integral() else 1e-6
 
 
 @dataclass
@@ -84,17 +82,14 @@ class SolveResult:
     lp_iterations: int = 0
     wall_time: float = 0.0
 
-    def as_dict(self, include_assignment: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "status": self.status,
             "objective": self.objective,
             "best_bound": self.best_bound,
             "nodes_processed": self.nodes_processed,
             "lp_iterations": self.lp_iterations,
         }
-        if include_assignment:
-            out["assignment"] = dict(sorted(self.assignment.items()))
-        return out
 
 
 def _model_arrays(model: MilpModel):
@@ -162,7 +157,6 @@ def extract_tree(
     result: SolveResult,
     topology: TreeTopology,
     schema: GroupSchema,
-    tolerance: float = 1e-6,
 ) -> DecisionTree:
     """Read the classifier out of a solved assignment."""
     assignment = result.assignment
@@ -175,14 +169,14 @@ def extract_tree(
             if val > best_val + 1e-12:
                 best_val = val
                 chosen = g
-        if chosen is None or best_val < 1.0 - tolerance:
+        if chosen is None or best_val < 1.0 - _TOL:
             raise FractionalSelectionError(
                 f"no group within tolerance of 1 at node {k} (max {best_val:.6f})"
             )
         subset = frozenset(
             j
             for j in schema.features_of(chosen)
-            if assignment.get(f"Z_{k}_{j}", 0.0) > 1.0 - tolerance
+            if assignment.get(f"Z_{k}_{j}", 0.0) > 1.0 - _TOL
         )
         tests[k] = (chosen, subset)
     return DecisionTree(
@@ -214,7 +208,9 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
       ``engine.iterations`` for the pivots spent.
     """
     config = engine.config
-    gap = config.gap_for(engine.model)
+    # a bound within the gap of the incumbent cannot beat it: by less than
+    # one unit when every objective value is an integer
+    gap = 0.999 if engine.model.objective_is_integral() else 1e-6
     start = time.perf_counter()
     best, best_at = -np.inf, None  # incumbent value and its solution
     nodes = counter = 0
@@ -374,10 +370,9 @@ class _LpBranchAndBound:
     def split(self, patch, work):
         """An integral LP optimum, or two children on the most fractional variable."""
         val, x = work
-        tol = self.config.integrality_tolerance
         frac_j, frac_dist = -1, -1.0
         for j in self.declared:
-            if abs(x[j] - round(x[j])) > tol:
+            if abs(x[j] - round(x[j])) > _TOL:
                 dist = min(x[j] - floor(x[j]), ceil(x[j]) - x[j])
                 if dist > frac_dist + 1e-12:
                     frac_dist = dist
@@ -386,9 +381,9 @@ class _LpBranchAndBound:
             return val, x, ()
 
         down = dict(patch)
-        down[frac_j] = (self.lower0[frac_j], float(floor(x[frac_j] + tol)))
+        down[frac_j] = (self.lower0[frac_j], float(floor(x[frac_j] + _TOL)))
         up = dict(patch)
-        up[frac_j] = (float(ceil(x[frac_j] - tol)), self.upper0[frac_j])
+        up[frac_j] = (float(ceil(x[frac_j] - _TOL)), self.upper0[frac_j])
         prefer_up = x[frac_j] - floor(x[frac_j]) >= 0.5
         return -np.inf, None, ((down, up) if prefer_up else (up, down))
 
@@ -407,9 +402,11 @@ class _StructuredSearch:
     A search node is a box of per-(decision node, feature) 0/1 bounds on the
     branched (non-leaf-adjacent) nodes.  Fixing a bit to 1 pins that node's
     group, which zeroes every other group's bits there; anchored nodes must
-    keep their group's anchor bit set.  Once the number of remaining test
-    assignments at the branched nodes is at most a budget, the node is closed
-    exactly.
+    keep their group's anchor bit set.  Each search node derives once which
+    groups, and which fixed and free features, each branched node still
+    allows (``_allowed``); the bound, the test count and the closure all read
+    that.  Once the number of remaining test assignments at the branched
+    nodes is at most a budget, the node is closed exactly.
 
     The closure is the same in every mode; the mode is data fixed here:
     what a correct positive and a correct negative add to the objective
@@ -443,15 +440,16 @@ class _StructuredSearch:
         self.labels = self.data.labels.astype(np.int8)
         self.n = self.data.n_samples
 
+        self.group_feats = [
+            np.array(self.schema.features_of(g), dtype=np.int64)
+            for g in range(self.n_groups)
+        ]
         # feature id of each sample within each group
         self.fidx = np.zeros((self.n, self.n_groups), dtype=np.int64)
-        for g in range(self.n_groups):
-            feats = np.array(self.schema.features_of(g))
-            sub = self.data.matrix[:, feats]
-            self.fidx[:, g] = feats[np.argmax(sub, axis=1)]
-        self.anchor = np.array(
-            [self.schema.anchor_feature(g) for g in range(self.n_groups)]
-        )
+        for g, feats in enumerate(self.group_feats):
+            self.fidx[:, g] = feats[np.argmax(self.data.matrix[:, feats], axis=1)]
+        self.anchor = [self.schema.anchor_feature(g) for g in range(self.n_groups)]
+        self.anchored = self.topo.anchor_eligible if self.bcfg.anchor else frozenset()
         self.group_of = np.array([self.schema.group_of(j) for j in range(self.d)])
 
         # Each mode as data.  A correct positive sits in a right (even) leaf,
@@ -488,8 +486,7 @@ class _StructuredSearch:
         width = max(self.schema.group_sizes, default=1)
         slots = np.zeros((self.n_groups, width), dtype=np.int64)
         self.slot_used = np.zeros((self.n_groups, width), dtype=bool)
-        for g in range(self.n_groups):
-            feats = self.schema.features_of(g)
+        for g, feats in enumerate(self.group_feats):
             slots[g, : len(feats)] = feats
             self.slot_used[g, : len(feats)] = True
         slot_cols = self.data.matrix[:, slots.ravel()] * self.slot_used.ravel()
@@ -513,22 +510,29 @@ class _StructuredSearch:
         return _best_first(self, root, self.trivial_bound)
 
     def bound(self, box, parent_bound):
-        """Propagate the box in place; the DP bound unless it is empty."""
-        zlo, zhi = box
-        if not self._propagate(zlo, zhi):
-            return None
-        return min(parent_bound, self._dp_bound(zlo, zhi)), None, None
+        """Propagate the box in place; the DP bound unless some node allows no test.
 
-    def split(self, box, work):
+        What each branched node allows is the work handed on to ``split``.
+        """
+        zlo, zhi = box
+        allowed = self._allowed(zlo, zhi)
+        if allowed is None:
+            return None
+        return min(parent_bound, self._dp_bound(zhi, allowed)), None, allowed
+
+    def split(self, box, allowed):
         """Close the box exactly if it holds few enough tests, else branch a bit."""
         zlo, zhi = box
-        count = prod(
-            self._node_option_count(p, k, zlo, zhi) for p, k in enumerate(self.decl)
-        )
+        count = prod(sum(1 << len(free) for _, _, free in node) for node in allowed)
         if count <= self.enum_budget:
-            value, winner = self._closure(zlo, zhi)
+            # the best scaled objective meeting the floor (-inf if none), and
+            # the first root test (or group, for a one-node tree) reaching it
+            options = [self._options(node) for node in allowed]
+            everyone = np.ones((1, self.n), dtype=bool)
+            tables, winners = self._tables(("node", self.topo.root), everyone, options)
+            value, winner = float(tables[0, self.floor]), int(winners[0, self.floor])
             # the loop compares objectives; _recover wants the scaled value
-            return value / self.scale, (value, winner, zlo, zhi), ()
+            return value / self.scale, (value, winner, options), ()
         p_star, j_star = self._branch_bit(zlo, zhi)
         child_hi = zhi.copy()
         child_hi[p_star, j_star] = 0
@@ -538,11 +542,11 @@ class _StructuredSearch:
 
     def assignment(self, solution) -> dict[str, float]:
         """The winning closure's tests, recovered and written as an assignment."""
-        value, winner, zlo, zhi = solution
+        value, winner, options = solution
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
         root = ("node", self.topo.root)
-        self._recover(root, everyone, self.floor, value, winner, zlo, zhi, tests)
+        self._recover(root, everyone, self.floor, value, winner, options, tests)
         return self._assignment_from_tests(tests)
 
     def _branch_bit(self, zlo, zhi):
@@ -552,64 +556,51 @@ class _StructuredSearch:
                 return p, int(undecided[0])
         raise AssertionError("no undecided bit despite enumeration budget overflow")
 
-    # -- bound boxes ----------------------------------------------------------
+    # -- what a box allows ----------------------------------------------------
 
-    def _anchored(self, k: int) -> bool:
-        return self.bcfg.anchor and k in self.topo.anchor_eligible
+    def _allowed(self, zlo, zhi):
+        """Propagate the box in place; what each branched node still allows.
 
-    def _propagate(self, zlo, zhi) -> bool:
+        A set bit pins its node's group and clears the other groups' bits; at
+        an anchored node the pinned group's anchor bit is set, and only
+        groups whose anchor bit may be set are allowed.  Returns, per
+        branched node, ``(group, fixed features, free features)`` of each
+        allowed group, an anchored node's anchor among the fixed ones; None
+        when some node allows no test.
+        """
+        allowed = []
         for p, k in enumerate(self.decl):
-            ones = np.flatnonzero(zlo[p] == 1)
-            if ones.size:
-                groups = set(self.group_of[ones].tolist())
-                if len(groups) > 1:
-                    return False
-                g = groups.pop()
-                inside = np.zeros(self.d, dtype=bool)
-                inside[list(self.schema.features_of(g))] = True
-                zhi[p, ~inside] = 0
-                if self._anchored(k):
+            lo, hi = zlo[p], zhi[p]
+            pinned = set(self.group_of[lo == 1].tolist())
+            if len(pinned) > 1:
+                return None
+            for g in pinned:
+                hi[self.group_of != g] = 0
+            anchored = k in self.anchored
+            node = []
+            for g in pinned or range(self.n_groups):
+                feats = self.group_feats[g]
+                fixed = lo[feats] == 1
+                if anchored:
                     a = self.anchor[g]
-                    if zhi[p, a] == 0:
-                        return False
-                    zlo[p, a] = 1
-            if np.any(zlo[p] > zhi[p]):
-                return False
-            if self._anchored(k) and not ones.size:
-                if all(zhi[p, self.anchor[g]] == 0 for g in range(self.n_groups)):
-                    return False
-        return True
+                    if hi[a] == 0:
+                        continue
+                    if pinned:
+                        lo[a] = 1
+                    fixed |= feats == a
+                free = (hi[feats] == 1) & ~fixed
+                node.append((g, feats[fixed].tolist(), feats[free].tolist()))
+            if not node:
+                return None
+            allowed.append(node)
+        return allowed
 
-    def _node_groups(self, p: int, k: int, zlo, zhi):
-        """(group, fixed features, free features) of each group the box allows."""
-        ones = np.flatnonzero(zlo[p] == 1)
-        groups = [int(self.group_of[ones[0]])] if ones.size else range(self.n_groups)
-        anchored = self._anchored(k)
-        out = []
-        for g in groups:
-            feats = self.schema.features_of(g)
-            fixed = [j for j in feats if zlo[p, j] == 1]
-            if anchored:
-                a = int(self.anchor[g])
-                if zhi[p, a] == 0:
-                    continue
-                if a not in fixed:
-                    fixed = sorted(fixed + [a])
-            free = [j for j in feats if zhi[p, j] == 1 and j not in fixed]
-            out.append((g, fixed, free))
-        return out
-
-    def _node_option_count(self, p: int, k: int, zlo, zhi) -> int:
-        """Upper bound on ``len(_node_options(...))``, at least 1."""
-        groups = self._node_groups(p, k, zlo, zhi)
-        return max(1, sum(1 << len(free) for _, _, free in groups))
-
-    def _node_options(self, p: int, k: int, zlo, zhi):
-        """Deterministic (group, subset tuple) assignments consistent with the box."""
+    def _options(self, node):
+        """Deterministic (group, subset tuple) tests of one node's allowed groups."""
         options = []
         emitted_empty = False
-        for g, fixed, free in self._node_groups(p, k, zlo, zhi):
-            size = len(self.schema.groups[g])
+        for g, fixed, free in node:
+            size = len(self.group_feats[g])
             for bits in range(1 << len(free)):
                 subset = fixed + [j for t, j in enumerate(free) if bits >> t & 1]
                 if self.bcfg.forbid_trivial_branch and (
@@ -625,45 +616,38 @@ class _StructuredSearch:
 
     # -- per-sample relaxation bound ------------------------------------------
 
-    def _dp_bound(self, zlo, zhi) -> float:
+    def _dp_bound(self, zhi, allowed) -> float:
         """Valid upper bound: each sample routed as well as its boxes allow."""
-        h = np.minimum(self._dp_scores(("node", self.topo.root), zlo, zhi), 1.0)
+        h = np.minimum(self._dp_scores(("node", self.topo.root), zhi, allowed), 1.0)
         return float(np.dot(self.sample_w, h))
 
-    def _dp_scores(self, child, zlo, zhi) -> np.ndarray:
+    def _dp_scores(self, child, zhi, allowed) -> np.ndarray:
         # a method, not a nested function: a self-referencing closure would
         # keep the search, and its model, alive until the cyclic collector runs
         kind, kk = child
         if kind == "leaf":
             match = self.labels == (1 if kk % 2 == 0 else -1)
             return np.where(match, 2.0, 0.0)
-        hl = self._dp_scores(self.topo.children[kk][0], zlo, zhi)
-        hr = self._dp_scores(self.topo.children[kk][1], zlo, zhi)
-        lo, hi = self._branch_interval(kk, zlo, zhi)
+        hl = self._dp_scores(self.topo.children[kk][0], zhi, allowed)
+        hr = self._dp_scores(self.topo.children[kk][1], zhi, allowed)
+        lo, hi = self._branch_interval(kk, zhi, allowed)
         best = None
         for cand in (lo, hi, np.clip(hl, lo, hi), np.clip(1.0 - hr, lo, hi)):
             val = np.minimum(cand, hl) + np.minimum(1.0 - cand, hr)
             best = val if best is None else np.maximum(best, val)
         return best
 
-    def _branch_interval(self, k: int, zlo, zhi):
+    def _branch_interval(self, k: int, zhi, allowed):
+        """Per sample, 1 if node ``k`` surely sends it left, and 1 if it may."""
         if k not in self.decl_pos:
             return np.zeros(self.n), np.ones(self.n)
         p = self.decl_pos[k]
-        ones = np.flatnonzero(zlo[p] == 1)
-        if ones.size:
-            g = int(self.group_of[ones[0]])
-            f = self.fidx[:, g]
-            return zlo[p, f].astype(float), zhi[p, f].astype(float)
+        # surely left: its feature is fixed in every group the node allows
+        surely = np.zeros(self.d, dtype=bool)
+        surely[[j for _, fixed, _ in allowed[p] for j in fixed]] = True
+        groups = [g for g, _, _ in allowed[p]]
+        lo = surely[self.fidx[:, groups]].all(axis=1).astype(float)
         hi = np.max(zhi[p][self.fidx], axis=1).astype(float)
-        lo = np.zeros(self.n)
-        if self._anchored(k):
-            allowed = [g for g in range(self.n_groups) if zhi[p, self.anchor[g]] == 1]
-            if allowed:
-                has_anchor = np.stack(
-                    [self.data.matrix[:, self.anchor[g]] for g in allowed]
-                )
-                lo = np.min(has_anchor, axis=0).astype(float)
         return lo, hi
 
     # -- closure: one exact table kernel for every mode ---------------------
@@ -671,17 +655,7 @@ class _StructuredSearch:
     # A table holds, for ``t = 0 .. floor``, the best scaled objective of a
     # subtree with at least ``t`` floored-class samples correct.
 
-    def _closure(self, zlo, zhi):
-        """Best scaled objective meeting the floor within the box (-inf if none).
-
-        Returns ``(value, winner)``; ``winner`` is the first root test (or
-        group, for a one-node tree) that reaches it.
-        """
-        everyone = np.ones((1, self.n), dtype=bool)
-        tables, winners = self._tables(("node", self.topo.root), everyone, zlo, zhi)
-        return float(tables[0, self.floor]), int(winners[0, self.floor])
-
-    def _tables(self, child, masks, zlo, zhi):
+    def _tables(self, child, masks, options):
         """``(len(masks), floor + 1)`` tables of the subtree, one per routed mask.
 
         Also returns, per entry, the first option (or group, at a
@@ -699,17 +673,17 @@ class _StructuredSearch:
                     best[r:r + self.leaf_rows] = tables.max(axis=1)
                     winners[r:r + self.leaf_rows] = tables.argmax(axis=1)
             return best, winners
-        options = self._node_options(self.decl_pos[k], k, zlo, zhi)
+        tests = options[self.decl_pos[k]]
         keep = self.floor if k == self.topo.root else 0
         left_child, right_child = self.topo.children[k]
         step = max(1, CHUNK_ROWS // len(masks))
-        for lo in range(0, len(options), step):
-            go = self._go_left(options[lo:lo + step])
+        for lo in range(0, len(tests), step):
+            go = self._go_left(tests[lo:lo + step])
             left = (masks[:, None] & go).reshape(-1, self.n)
             right = (masks[:, None] & ~go).reshape(-1, self.n)
             merged = self._merge(
-                self._tables(left_child, left, zlo, zhi)[0],
-                self._tables(right_child, right, zlo, zhi)[0],
+                self._tables(left_child, left, options)[0],
+                self._tables(right_child, right, options)[0],
                 keep,
             ).reshape(len(masks), len(go), -1)
             chunk_best = merged.max(axis=1)
@@ -802,7 +776,7 @@ class _StructuredSearch:
 
     # -- recovering the winning tests ---------------------------------------------
 
-    def _recover(self, child, mask, key: int, value, winner: int, zlo, zhi, tests):
+    def _recover(self, child, mask, key: int, value, winner: int, options, tests):
         """Put into ``tests`` the tests that earn ``value`` at ``key``.
 
         ``winner`` is the option (or group) that the subtree's table names
@@ -824,18 +798,18 @@ class _StructuredSearch:
                     subset.append(j)
             tests[k] = (g, tuple(subset))
             return
-        tests[k] = self._node_options(self.decl_pos[k], k, zlo, zhi)[winner]
+        tests[k] = options[self.decl_pos[k]][winner]
         go = self._go_left([tests[k]])[0]
         left_child, right_child = self.topo.children[k]
         left_mask, right_mask = mask & go, mask & ~go
-        left, left_win = self._tables(left_child, left_mask[None], zlo, zhi)
-        right, right_win = self._tables(right_child, right_mask[None], zlo, zhi)
+        left, left_win = self._tables(left_child, left_mask[None], options)
+        right, right_win = self._tables(right_child, right_mask[None], options)
         t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
         u = key - t
         self._recover(left_child, left_mask, t, left[0, t], int(left_win[0, t]),
-                      zlo, zhi, tests)
+                      options, tests)
         self._recover(right_child, right_mask, u, right[0, u], int(right_win[0, u]),
-                      zlo, zhi, tests)
+                      options, tests)
 
     # -- incumbent assignment ------------------------------------------------------
 

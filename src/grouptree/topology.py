@@ -66,22 +66,11 @@ class TreeTopology:
     def negative_leaves(self) -> tuple[int, ...]:
         return tuple(b for b in self.leaves if b % 2 == 1)
 
-    def leaf_parity(self, leaf: int) -> int:
-        """+1 for even leaf ids, -1 for odd ones."""
-        return 1 if leaf % 2 == 0 else -1
-
     def leaf_depth(self, leaf: int) -> int:
         return len(self.left_path[leaf]) + len(self.right_path[leaf])
 
     def shape_text(self) -> str:
-        def render(child: Child) -> str:
-            kind, k = child
-            if kind == "leaf":
-                return "#"
-            left, right = self.children[k]
-            return f"({render(left)} {render(right)})"
-
-        return render(("node", self.root))
+        return self.subtree_shape(("node", self.root))
 
     def subtree_shape(self, child: Child) -> str:
         kind, k = child

@@ -158,6 +158,49 @@ def test_dataset_json_round_trip():
     assert again.schema == data.schema
 
 
+ONE_FEATURE = '{"schema": {"groups": [{"column": "c", "categories": ["x"]}]}, '
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"schema": {"groups": [{"column": "c", "categories": ["x", "y"]}]}, '
+         '"labels": [1, 5], "matrix": ["10", "01"]}', NonBinaryLabelError),
+        (ONE_FEATURE + '"labels": [1, -1], "matrix": ["1", "10"]}', MalformedRowError),
+        ("not json", MalformedRowError),
+        ('{"labels": [1], "matrix": ["1"]}', MalformedRowError),
+        (ONE_FEATURE + '"labels": [1], "matrix": ["a"]}', MalformedRowError),
+        ("[1, -1]", MalformedRowError),
+        (ONE_FEATURE + '"labels": [1, -1], "matrix": ["1"]}', MalformedRowError),
+        (ONE_FEATURE + '"labels": [true], "matrix": ["1"]}', NonBinaryLabelError),
+        (ONE_FEATURE + '"labels": [1], "matrix": ["0"]}', UnknownCategoryError),
+        ('{"schema": {"groups": [{"column": "c", "categories": []}]}, '
+         '"labels": [], "matrix": []}', MalformedRowError),
+    ],
+    ids=["label-5", "row-too-wide", "not-json", "no-schema", "cell-a", "not-object",
+         "label-count", "bool-label", "not-one-hot", "empty-group"],
+)
+def test_malformed_dataset_json_is_rejected(text, error):
+    with pytest.raises(error):
+        EncodedDataset.from_json(text)
+
+
+def test_corrupted_dataset_json_raises_only_grouptree_errors():
+    table = parse_table(CSV_YESNO, label_column="verdict")
+    data = encode(table, build_schema(table))
+    text = data.to_json()
+    parsed = 0
+    for case in range(1000):
+        try:
+            again = EncodedDataset.from_json(corrupt(text, random.Random(f"data:{case}")))
+        except GroupTreeError:
+            continue
+        parsed += 1
+        assert again.matrix.shape == (len(again.labels), again.schema.n_features), case
+        assert set(again.labels.tolist()) <= {-1, 1}, case
+    assert 0 < parsed < 1000
+
+
 def test_matrix_is_read_only():
     table = parse_table(CSV_YESNO, label_column="verdict")
     data = encode(table, build_schema(table))

@@ -415,8 +415,10 @@ def test_data_without_feature_groups_is_infeasible():
     table = parse_table("class\n1\n-1\n1\n", label_column="class")
     data = encode(table, build_schema(table))
     for topo in (preset("depth2"), parse_shape("(# #)", name="stump")):
-        result = solve_milp(build_model(data, topo))
-        assert result.status == INFEASIBLE
+        # without anchors no propagation step rules the root out
+        for cfg in (BuildConfig(), BuildConfig(anchor=False)):
+            result = solve_milp(build_model(data, topo, cfg))
+            assert result.status == INFEASIBLE
 
 
 def test_structured_search_is_freed_without_the_cycle_collector(rng):
@@ -646,3 +648,34 @@ def test_max_specificity_matches_oracle(rng):
                     result = solve_milp(build_model(data, topo, cfg), method=method)
                     assert result.status == OPTIMAL
                     assert abs(result.objective - float(expected)) < 1e-7, method
+
+
+def test_structured_search_is_pinned(monkeypatch):
+    # Exact figures of the structured engine: any change to propagation, the
+    # bound, the closure count or the branching order shows up here before it
+    # shows in a fingerprint.
+    from grouptree.datasets import monks
+    from grouptree.encoding import build_schema, encode
+    from grouptree.experiments import train_test_run
+
+    table = monks(1)
+    run = train_test_run(encode(table, build_schema(table)), preset("imbalanced"), seed=1)
+    assert (run.solve.status, run.solve.objective) == (OPTIMAL, 389.0)
+    assert run.solve.nodes_processed == 39
+
+    monkeypatch.setattr(solver_mod, "ENUM_BUDGET", 2)
+    monkeypatch.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", 2)
+    data = random_dataset(random.Random(1), 20, [3, 3])
+    cfg = BuildConfig(
+        mode="max_sensitivity", min_specificity=Fraction(1, 2), forbid_trivial_branch=True
+    )
+    records = []
+    model = build_model(data, preset("depth2_5"), cfg)
+    result = solve_milp(model, SolveConfig(callback=records.append))
+    assert (result.status, result.objective, result.best_bound) == (OPTIMAL, 12.0, 12.0)
+    assert result.nodes_processed == 20
+    # nodes 9, 11 and 16 hold no test and report nothing
+    bounded = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 14, 15, 17, 18, 19]
+    expected = [(k, None, 12.0) for k in bounded] + [(20, 9.0, 12.0)]
+    assert [(r["node"], r["incumbent"], r["bound"]) for r in records] == expected
+    assert all(set(r) == {"node", "incumbent", "bound", "time"} for r in records)
