@@ -62,6 +62,9 @@ ENUM_BUDGET_CONSTRAINED = 20000
 # leaf kernel (bounds the float copy of the masks and the knapsack state)
 CHUNK_ROWS = 256
 CHUNK_CELLS = 1 << 16
+# the leaf-adjacent tables kept during one solve: a stored row costs its
+# table's floor + 1 cells and one cell per byte of its packed mask
+_LEAF_STORE_CELLS = 4 * CHUNK_CELLS
 
 
 @dataclass(frozen=True)
@@ -414,7 +417,8 @@ class _StructuredSearch:
     the floor (0 in accuracy mode).  Every subtree gets one table per routed
     sample set: the best objective with at least ``t`` floored-class samples
     correct, for ``t = 0 .. floor``.  Leaf-adjacent tables come from a
-    per-group knapsack over the features (``_group_tables``).  A branched
+    per-group knapsack over the features (``_group_tables``), once per
+    distinct routed set in a solve (``_leaf_tables``).  A branched
     node sends the child sample sets of all of its tests through its children
     as one batch and merges their tables (``_merge``).  The winning tests are
     recovered afterwards along the winning path (``_recover``).
@@ -499,6 +503,14 @@ class _StructuredSearch:
         self.leaf_rows = max(
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
+        # leaf-adjacent tables of the masks routed so far: packed mask -> row
+        self.leaf_index: dict[bytes, int] = {}
+        self.leaf_best = np.empty((0, self.floor + 1))
+        self.leaf_winners = np.empty(
+            self.leaf_best.shape, dtype=np.min_scalar_type(max(self.n_groups - 1, 0))
+        )
+        row_cells = self.floor + 1 + (self.n + 7) // 8
+        self.leaf_capacity = max(1, _LEAF_STORE_CELLS // row_cells)
 
     # -- node work for the shared loop ----------------------------------------
 
@@ -524,7 +536,8 @@ class _StructuredSearch:
         """Close the box exactly if it holds few enough tests, else branch a bit."""
         zlo, zhi = box
         count = prod(sum(1 << len(free) for _, _, free in node) for node in allowed)
-        if count <= self.enum_budget:
+        bit = self._branch_bit(zlo, zhi) if count > self.enum_budget else None
+        if bit is None:
             # the best scaled objective meeting the floor (-inf if none), and
             # the first root test (or group, for a one-node tree) reaching it
             options = [self._options(node) for node in allowed]
@@ -533,7 +546,7 @@ class _StructuredSearch:
             value, winner = float(tables[0, self.floor]), int(winners[0, self.floor])
             # the loop compares objectives; _recover wants the scaled value
             return value / self.scale, (value, winner, options), ()
-        p_star, j_star = self._branch_bit(zlo, zhi)
+        p_star, j_star = bit
         child_hi = zhi.copy()
         child_hi[p_star, j_star] = 0
         child_lo = zlo.copy()
@@ -550,11 +563,17 @@ class _StructuredSearch:
         return self._assignment_from_tests(tests)
 
     def _branch_bit(self, zlo, zhi):
+        """The first undecided bit, or None when the box decides every bit.
+
+        The test count sums one all-right test per group, so a decided box
+        can count over the budget; its nodes each allow at most one test per
+        group, few enough to close.
+        """
         for p in range(self.n_decl):
             undecided = np.flatnonzero((zlo[p] == 0) & (zhi[p] == 1))
             if undecided.size:
                 return p, int(undecided[0])
-        raise AssertionError("no undecided bit despite enumeration budget overflow")
+        return None
 
     # -- what a box allows ----------------------------------------------------
 
@@ -664,15 +683,12 @@ class _StructuredSearch:
         root keeps only the entry that meets the floor.
         """
         k = child[1]
+        if k in self.topo.leaf_adjacent and self.n_groups:
+            return self._leaf_tables(masks)
         best = np.full((len(masks), self.floor + 1), -np.inf)
         winners = np.zeros(best.shape, dtype=np.int64)
         if k in self.topo.leaf_adjacent:
-            for r in range(0, len(masks), self.leaf_rows):
-                tables = self._group_tables(self._gains(masks[r:r + self.leaf_rows]))
-                if self.n_groups:  # with no group there is no test at all
-                    best[r:r + self.leaf_rows] = tables.max(axis=1)
-                    winners[r:r + self.leaf_rows] = tables.argmax(axis=1)
-            return best, winners
+            return best, winners  # with no group there is no test at all
         tests = options[self.decl_pos[k]]
         keep = self.floor if k == self.topo.root else 0
         left_child, right_child = self.topo.children[k]
@@ -691,6 +707,44 @@ class _StructuredSearch:
             best[better] = chunk_best[better]
             winners[better] = merged.argmax(axis=1)[better] + lo
         return best, winners
+
+    def _leaf_tables(self, masks):
+        """Leaf-adjacent tables and winning groups, one per routed mask.
+
+        Such a table depends on the mask alone: the node's children are two
+        leaves, its test is never branched, and the mode is fixed for the
+        solve.  So each distinct mask's table is computed once per solve and
+        kept in a store that grows geometrically up to ``leaf_capacity``
+        rows; a batch that overfills the store starts it afresh.
+        """
+        packed = np.packbits(masks, axis=1)
+        keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+        # each distinct key -> the position of its first mask in the batch
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        index = self.leaf_index
+        new = [key for key in first if key not in index]
+        if index and len(index) + len(new) > self.leaf_capacity:
+            index.clear()  # full: this batch starts the store afresh
+            new = list(first)
+        start = len(index)
+        index.update(zip(new, range(start, start + len(new))))
+        rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+        fresh = np.array([first[key] for key in new], dtype=np.int64)
+
+        if len(index) > len(self.leaf_best):
+            size = max(len(index), min(2 * len(self.leaf_best), self.leaf_capacity))
+            for name in ("leaf_best", "leaf_winners"):
+                old = getattr(self, name)
+                grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, name, grown)
+        for r in range(0, len(fresh), self.leaf_rows):
+            chunk = masks[fresh[r:r + self.leaf_rows]]
+            tables = self._group_tables(self._gains(chunk))
+            at = slice(start + r, start + r + len(chunk))
+            self.leaf_best[at] = tables.max(axis=1)
+            self.leaf_winners[at] = tables.argmax(axis=1)
+        return self.leaf_best[rows], self.leaf_winners[rows]
 
     def _go_left(self, options) -> np.ndarray:
         """``(len(options), n)``: the samples each (group, subset) test sends left."""

@@ -650,14 +650,80 @@ def test_max_specificity_matches_oracle(rng):
                     assert abs(result.objective - float(expected)) < 1e-7, method
 
 
-def test_structured_search_is_pinned(monkeypatch):
+def test_decided_box_over_budget_is_closed(rng, monkeypatch):
+    # Every bit of a box can be decided while its test count, which sums one
+    # all-right test per group, still exceeds the budget: such a box has no
+    # bit left to branch on and is closed.
+    monkeypatch.setattr(solver_mod, "ENUM_BUDGET", 4)
+    topo = preset("depth3")
+    for t in range(6):
+        data = random_dataset(rng, rng.randrange(10, 16), [(2, 2), (3, 2)][t % 2])
+        expected, _ = enumerate_optimal(data, topo, budget=10**12)
+        result = solve_milp(build_model(data, topo, BuildConfig(anchor=False)))
+        assert result.status == OPTIMAL
+        assert result.objective == float(expected)
+
+
+def test_wide_unanchored_search_is_optimal():
+    # 17 groups at the shipped budget: three decided unpinned nodes count
+    # 17**3 tests, over ENUM_BUDGET
+    data = random_dataset(random.Random(0), 60, [2] * 17)
+    topo = preset("depth3")
+    result = solve_milp(build_model(data, topo, BuildConfig(anchor=False)))
+    assert result.status == OPTIMAL
+    assert result.objective == solve_milp(build_model(data, topo)).objective
+
+
+@pytest.mark.parametrize("store_cells", [None, 40], ids=["store", "tiny-store"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        BuildConfig(),
+        BuildConfig(
+            mode="max_sensitivity", min_specificity=Fraction(1, 2), forbid_trivial_branch=True
+        ),
+    ],
+    ids=["accuracy", "floored"],
+)
+def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
+    # Leaf-adjacent tables served from the per-solve store are the kernel's
+    # own, for repeated and new masks alike, also when a tiny store (a few
+    # rows) is refilled on almost every batch.
+    if store_cells is not None:
+        monkeypatch.setattr(solver_mod, "_LEAF_STORE_CELLS", store_cells)
+    data = random_dataset(random.Random(3), 40, [3, 2, 4])
+    search = solver_mod._StructuredSearch(
+        build_model(data, preset("depth2"), cfg), SolveConfig()
+    )
+    leaf = ("node", min(search.topo.leaf_adjacent))
+    gen = np.random.default_rng(3)
+    pool = np.vstack([np.zeros((1, 40), bool), np.ones((1, 40), bool),
+                      gen.random((10, 40)) < 0.5])
+    seen = set()
+    for _ in range(8):
+        masks = np.vstack([pool[gen.integers(0, len(pool), 25)], gen.random((3, 40)) < 0.5])
+        seen.update(row.tobytes() for row in masks)
+        best, winners = search._tables(leaf, masks, None)
+        tables = search._group_tables(search._gains(masks))
+        assert np.array_equal(best, tables.max(axis=1))
+        assert np.array_equal(winners, tables.argmax(axis=1))
+    if store_cells is None:
+        assert len(search.leaf_index) == len(seen)  # each mask stored once
+    else:
+        assert len(search.leaf_best) < len(seen)
+
+
+@pytest.mark.parametrize("store_cells", [None, 200], ids=["store", "tiny-store"])
+def test_structured_search_is_pinned(monkeypatch, store_cells):
     # Exact figures of the structured engine: any change to propagation, the
     # bound, the closure count or the branching order shows up here before it
-    # shows in a fingerprint.
+    # shows in a fingerprint.  A store of a few rows must not change them.
     from grouptree.datasets import monks
     from grouptree.encoding import build_schema, encode
     from grouptree.experiments import train_test_run
 
+    if store_cells is not None:
+        monkeypatch.setattr(solver_mod, "_LEAF_STORE_CELLS", store_cells)
     table = monks(1)
     run = train_test_run(encode(table, build_schema(table)), preset("imbalanced"), seed=1)
     assert (run.solve.status, run.solve.objective) == (OPTIMAL, 389.0)
