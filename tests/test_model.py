@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from grouptree.datasets import monks, tic_tac_toe
 from grouptree.encoding import build_schema, encode
 from grouptree.errors import EmptyClassError, InvalidConfigError
+from grouptree.experiments import protocol_split
 from grouptree.model import BuildConfig, build_model, model_stats
-from grouptree.mps import export_mps
-from grouptree.topology import preset
+from grouptree.mps import export_lp, export_mps
+from grouptree.topology import PRESET_SHAPES, preset
 from tests.conftest import random_dataset
 
 
@@ -155,3 +157,77 @@ def test_left_rows_carry_sample_bits():
     assert set(z_coeffs) == hot
     assert all(v == -1.0 for v in z_coeffs.values())
     assert row.sense == "<=" and row.rhs == 0.0
+
+
+# -- the lowering, pinned byte for byte ------------------------------------------
+
+PINNED_CONFIGS = {
+    "default": BuildConfig(),
+    "no-strengthen": BuildConfig(strengthen=False),
+    "no-anchor": BuildConfig(anchor=False),
+    "integral": BuildConfig(relax_integrality=False),
+    "keep-unused-c": BuildConfig(drop_unused_c=False),
+    "basic-full": BuildConfig(strengthen=False, drop_unused_c=False),
+    "forbid-trivial": BuildConfig(forbid_trivial_branch=True),
+    "weight-3/2": BuildConfig(class_weight=Fraction(3, 2)),
+    "max-sensitivity": BuildConfig(mode="max_sensitivity", min_specificity=Fraction(9, 10)),
+    "max-specificity": BuildConfig(mode="max_specificity", min_sensitivity=Fraction(3, 4)),
+}
+
+# sha256 (first 16 hex digits) of the MPS and LP texts of every preset, in
+# preset order; taken before the lowering was rebuilt from shared pieces
+PINNED_EXPORTS = {
+    ("seeded", "default"): ("9b6aaee9f738f43a", "dcdf2b943ef98684"),
+    ("seeded", "no-strengthen"): ("253558f2447403ff", "1cf7f9a841dce245"),
+    ("seeded", "no-anchor"): ("282bf84c576d110d", "d666b99ab355cdf2"),
+    ("seeded", "integral"): ("39beac5dfe5d9e49", "aaa66247c81fa09a"),
+    ("seeded", "keep-unused-c"): ("99159107a89d74ae", "20dc5075bc96d14c"),
+    ("seeded", "basic-full"): ("4730e079a46ca135", "e86425296fe1e85d"),
+    ("seeded", "forbid-trivial"): ("4c4140dd12a92ad1", "a7bc843b2ccfc4f4"),
+    ("seeded", "weight-3/2"): ("a8ddeca218652f4d", "380304c716de6153"),
+    ("seeded", "max-sensitivity"): ("b274547d5edb9d33", "16bb18fde2746c2e"),
+    ("seeded", "max-specificity"): ("7fb50dda62b926de", "8067b92430b176ec"),
+    ("monks1-split1", "default"): ("c49018ed17b499d3", "e1bd9b7ac8bc08c3"),
+    ("monks1-split1", "no-strengthen"): ("1838f291098a58cb", "2444a60d0a1cfa48"),
+    ("monks1-split1", "no-anchor"): ("ae7aea299141d139", "6976974b5684baa5"),
+    ("monks1-split1", "integral"): ("923bdd4df523d99f", "e2885982180f8fa3"),
+    ("monks1-split1", "keep-unused-c"): ("95e8d6ce2063d16e", "1b9548fd8ea0204a"),
+    ("monks1-split1", "basic-full"): ("f72e3c784d41759c", "937b7ae2573f3ad7"),
+    ("monks1-split1", "forbid-trivial"): ("526810e924271f58", "b9ce71286b3f8b84"),
+    ("monks1-split1", "weight-3/2"): ("093eb6d8939ea805", "4d7fb52454612a80"),
+    ("monks1-split1", "max-sensitivity"): ("df9caea71087b938", "b1b777c1e7ebb2b2"),
+    ("monks1-split1", "max-specificity"): ("cb46c25157b092f0", "7773d0d92d715d76"),
+}
+
+
+def pinned_inputs():
+    table = monks(1)
+    data = encode(table, build_schema(table))
+    return {
+        # a one-feature group makes MAXPICK write a zero V coefficient
+        "seeded": random_dataset(random.Random(20240817), 24, (3, 1, 2, 4)),
+        "monks1-split1": data.subset(protocol_split(data.n_samples, 1)[0]),
+    }
+
+
+def export_digests(data, config):
+    mps, lp = hashlib.sha256(), hashlib.sha256()
+    for name in PRESET_SHAPES:
+        model = build_model(data, preset(name), config)
+        mps.update(export_mps(model).encode())
+        lp.update(export_lp(model).encode())
+    return mps.hexdigest()[:16], lp.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("config_name", list(PINNED_CONFIGS))
+def test_lowering_is_pinned(config_name):
+    config = PINNED_CONFIGS[config_name]
+    for data_name, data in pinned_inputs().items():
+        got = export_digests(data, config)
+        assert got == PINNED_EXPORTS[data_name, config_name], (data_name, got)
+
+
+def test_monks1_imbalanced_size_is_pinned():
+    data = pinned_inputs()["monks1-split1"]
+    stats = model_stats(build_model(data, preset("imbalanced")))
+    assert (stats["rows"], stats["nonzeros"]) == (4022, 28689)
