@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
+import numpy as np
+
 from .encoding import EncodedDataset
 from .errors import EmptyClassError, InvalidConfigError
 from .topology import TreeTopology
@@ -144,23 +146,6 @@ class MilpModel:
         return all(float(c).is_integer() for _, c in self.objective)
 
 
-def retained_leaf_pairs(data: EncodedDataset, topology: TreeTopology, config: BuildConfig):
-    """The (sample, leaf) pairs that carry a routing variable."""
-    pairs = []
-    for i in range(data.n_samples):
-        if config.drop_unused_c:
-            leaves = (
-                topology.positive_leaves
-                if data.labels[i] == 1
-                else topology.negative_leaves
-            )
-        else:
-            leaves = tuple(topology.leaves)
-        for b in leaves:
-            pairs.append((i, b))
-    return pairs
-
-
 def build_model(
     data: EncodedDataset, topology: TreeTopology, config: BuildConfig | None = None
 ) -> MilpModel:
@@ -170,6 +155,9 @@ def build_model(
     it; a sample goes left when its active feature is in the subset.  Routing
     variables tie samples to leaves; the objective counts samples routed to a
     leaf of their own class, negatives weighted by ``class_weight``.
+
+    Names and ``(name, coefficient)`` pairs are built once per call and
+    shared by every row that uses them; rows only assemble tuples of them.
     """
     config = config or BuildConfig()
     schema = data.schema
@@ -179,146 +167,139 @@ def build_model(
     if config.mode != "accuracy" and (n_pos == 0 or n_neg == 0):
         raise EmptyClassError(f"mode {config.mode} needs both classes present")
 
-    variables: list[Variable] = []
+    nodes = topology.decision_nodes
+    groups = range(schema.n_groups)
+    labels = data.labels.tolist()
+    v_names = {k: [f"V_{k}_{g}" for g in groups] for k in nodes}
+    z_names = {k: [f"Z_{k}_{j}" for j in range(d)] for k in nodes}
+    v_minus = {k: [(name, -1.0) for name in v_names[k]] for k in nodes}
+    z_plus = {k: [(name, 1.0) for name in z_names[k]] for k in nodes}
+    z_minus = {k: [(name, -1.0) for name in z_names[k]] for k in nodes}
+    # the leaves each sample keeps a routing variable for, with its pairs
+    pos_leaves, neg_leaves = topology.positive_leaves, topology.negative_leaves
+    if config.drop_unused_c:
+        sample_leaves = [pos_leaves if y == 1 else neg_leaves for y in labels]
+    else:
+        sample_leaves = [tuple(topology.leaves)] * n
+    c_plus = [
+        {b: (f"C_{i}_{b}", 1.0) for b in leaves}
+        for i, leaves in enumerate(sample_leaves)
+    ]
+    # each sample's active features, in feature order
+    rows, cols = np.nonzero(data.matrix == 1)
+    cols = cols.tolist()
+    ends = np.bincount(rows, minlength=n).cumsum().tolist()
+    active = [cols[a:b] for a, b in zip([0] + ends, ends)]
+
     # With the accuracy objective, integrality can be dropped everywhere
     # except the feature bits above the leaf-adjacent level.  The floored
     # modes lose that property (a fractional leaf-level test can beat every
     # integral one while meeting the floor), so there all z stay integral.
-    integer_z_nodes = set(topology.decision_nodes) - set(topology.leaf_adjacent)
+    integral = not config.relax_integrality
     relax_leaf_z = config.relax_integrality and config.mode == "accuracy"
-    for k in topology.decision_nodes:
-        for g in range(schema.n_groups):
-            variables.append(
-                Variable(f"V_{k}_{g}", 0.0, 1.0, not config.relax_integrality, "v")
-            )
-    for k in topology.decision_nodes:
-        for j in range(d):
-            is_int = (
-                (not config.relax_integrality)
-                or (k in integer_z_nodes)
-                or not relax_leaf_z
-            )
-            variables.append(Variable(f"Z_{k}_{j}", 0.0, 1.0, is_int, "z"))
-    pairs = retained_leaf_pairs(data, topology, config)
-    for i, b in pairs:
-        variables.append(
-            Variable(f"C_{i}_{b}", 0.0, 1.0, not config.relax_integrality, "c")
-        )
-    retained = set(pairs)
+    variables = [
+        Variable(name, 0.0, 1.0, integral, "v") for k in nodes for name in v_names[k]
+    ]
+    for k in nodes:
+        is_int = integral or k not in topology.leaf_adjacent or not relax_leaf_z
+        variables += [Variable(name, 0.0, 1.0, is_int, "z") for name in z_names[k]]
+    variables += [
+        Variable(name, 0.0, 1.0, integral, "c")
+        for pairs in c_plus
+        for name, _ in pairs.values()
+    ]
 
-    constraints: list[Constraint] = []
-    for k in topology.decision_nodes:
-        coeffs = tuple((f"V_{k}_{g}", 1.0) for g in range(schema.n_groups))
-        constraints.append(Constraint(f"ONEGRP_{k}", coeffs, "=", 1.0))
-    for k in topology.decision_nodes:
-        for j in range(d):
-            g = schema.group_of(j)
-            constraints.append(
-                Constraint(
-                    f"LINK_{k}_{j}",
-                    ((f"Z_{k}_{j}", 1.0), (f"V_{k}_{g}", -1.0)),
-                    "<=",
-                    0.0,
-                )
-            )
-
-    def branch_terms(i: int, k: int) -> tuple[tuple[str, float], ...]:
-        # The left-branch indicator for sample i at node k, as z-coefficients.
-        return tuple(
-            (f"Z_{k}_{j}", 1.0) for j in range(d) if data.matrix[i, j] == 1
-        )
+    constraints = [
+        Constraint(f"ONEGRP_{k}", tuple((name, 1.0) for name in v_names[k]), "=", 1.0)
+        for k in nodes
+    ]
+    group_of = [schema.group_of(j) for j in range(d)]
+    for k in nodes:
+        constraints += [
+            Constraint(f"LINK_{k}_{j}", (z_plus[k][j], v_minus[k][group_of[j]]), "<=", 0.0)
+            for j in range(d)
+        ]
 
     if config.strengthen:
+        # per node, the sample's leaves below its left and its right branch
+        below = {
+            leaves: {
+                k: (
+                    [b for b in leaves if k in topology.left_path[b]],
+                    [b for b in leaves if k in topology.right_path[b]],
+                )
+                for k in nodes
+            }
+            for leaves in set(sample_leaves)
+        }
         for i in range(n):
-            for k in topology.decision_nodes:
-                left_bs = [
-                    b for b in topology.leaves
-                    if (i, b) in retained and k in topology.left_path[b]
-                ]
-                right_bs = [
-                    b for b in topology.leaves
-                    if (i, b) in retained and k in topology.right_path[b]
-                ]
-                z_terms = branch_terms(i, k)
+            hot, pairs, sides = active[i], c_plus[i], below[sample_leaves[i]]
+            for k in nodes:
+                left_bs, right_bs = sides[k]
                 if left_bs:
-                    coeffs = tuple((f"C_{i}_{b}", 1.0) for b in left_bs) + tuple(
-                        (name, -coef) for name, coef in z_terms
-                    )
+                    minus = z_minus[k]
+                    coeffs = tuple([pairs[b] for b in left_bs] + [minus[j] for j in hot])
                     constraints.append(Constraint(f"LEFT_{i}_{k}", coeffs, "<=", 0.0))
                 if right_bs:
-                    coeffs = tuple((f"C_{i}_{b}", 1.0) for b in right_bs) + z_terms
+                    plus = z_plus[k]
+                    coeffs = tuple([pairs[b] for b in right_bs] + [plus[j] for j in hot])
                     constraints.append(Constraint(f"RIGHT_{i}_{k}", coeffs, "<=", 1.0))
     else:
+        left_nodes = {b: sorted(topology.left_path[b]) for b in topology.leaves}
+        right_nodes = {b: sorted(topology.right_path[b]) for b in topology.leaves}
         for i in range(n):
-            for b in topology.leaves:
-                if (i, b) not in retained:
-                    continue
-                z_cache = {}
-                for k in sorted(topology.left_path[b]):
-                    z_terms = z_cache.setdefault(k, branch_terms(i, k))
-                    coeffs = ((f"C_{i}_{b}", 1.0),) + tuple(
-                        (name, -coef) for name, coef in z_terms
-                    )
-                    constraints.append(
-                        Constraint(f"LEFTB_{i}_{k}_{b}", coeffs, "<=", 0.0)
-                    )
-                for k in sorted(topology.right_path[b]):
-                    z_terms = z_cache.setdefault(k, branch_terms(i, k))
-                    coeffs = ((f"C_{i}_{b}", 1.0),) + z_terms
-                    constraints.append(
-                        Constraint(f"RIGHTB_{i}_{k}_{b}", coeffs, "<=", 1.0)
-                    )
+            hot, pairs = active[i], c_plus[i]
+            for b, pair in pairs.items():
+                for k in left_nodes[b]:
+                    minus = z_minus[k]
+                    coeffs = tuple([pair] + [minus[j] for j in hot])
+                    constraints.append(Constraint(f"LEFTB_{i}_{k}_{b}", coeffs, "<=", 0.0))
+                for k in right_nodes[b]:
+                    plus = z_plus[k]
+                    coeffs = tuple([pair] + [plus[j] for j in hot])
+                    constraints.append(Constraint(f"RIGHTB_{i}_{k}_{b}", coeffs, "<=", 1.0))
         if not config.drop_unused_c:
-            for i in range(n):
-                coeffs = tuple((f"C_{i}_{b}", 1.0) for b in topology.leaves)
-                constraints.append(Constraint(f"PICK_{i}", coeffs, "=", 1.0))
+            constraints += [
+                Constraint(f"PICK_{i}", tuple(pairs.values()), "=", 1.0)
+                for i, pairs in enumerate(c_plus)
+            ]
 
     if config.anchor:
+        anchors = [schema.anchor_feature(g) for g in groups]
         for k in sorted(topology.anchor_eligible):
-            for g in range(schema.n_groups):
-                j = schema.anchor_feature(g)
-                constraints.append(
-                    Constraint(
-                        f"ANCH_{k}_{g}",
-                        ((f"Z_{k}_{j}", 1.0), (f"V_{k}_{g}", -1.0)),
-                        "=",
-                        0.0,
-                    )
-                )
+            constraints += [
+                Constraint(f"ANCH_{k}_{g}", (z_plus[k][anchors[g]], v_minus[k][g]), "=", 0.0)
+                for g in groups
+            ]
 
     if config.forbid_trivial_branch:
-        for k in topology.decision_nodes:
-            for g in range(schema.n_groups):
+        for k in nodes:
+            for g in groups:
                 feats = schema.features_of(g)
-                z_terms = tuple((f"Z_{k}_{j}", 1.0) for j in feats)
+                z_terms = tuple(z_plus[k][j] for j in feats)
                 constraints.append(
-                    Constraint(
-                        f"MINPICK_{k}_{g}",
-                        z_terms + ((f"V_{k}_{g}", -1.0),),
-                        ">=",
-                        0.0,
-                    )
+                    Constraint(f"MINPICK_{k}_{g}", z_terms + (v_minus[k][g],), ">=", 0.0)
                 )
                 constraints.append(
                     Constraint(
                         f"MAXPICK_{k}_{g}",
-                        z_terms + ((f"V_{k}_{g}", -(len(feats) - 1.0)),),
+                        z_terms + ((v_names[k][g], -(len(feats) - 1.0)),),
                         "<=",
                         0.0,
                     )
                 )
 
     pos_terms = tuple(
-        (f"C_{i}_{b}", 1.0)
-        for i in range(n)
-        if data.labels[i] == 1
-        for b in topology.positive_leaves
+        c_plus[i][b]
+        for i, y in enumerate(labels)
+        if y == 1
+        for b in pos_leaves
     )
     neg_names = tuple(
-        f"C_{i}_{b}"
-        for i in range(n)
-        if data.labels[i] == -1
-        for b in topology.negative_leaves
+        c_plus[i][b][0]
+        for i, y in enumerate(labels)
+        if y == -1
+        for b in neg_leaves
     )
     weight = float(config.class_weight)
     if config.mode == "accuracy":

@@ -448,10 +448,10 @@ class _StructuredSearch:
             np.array(self.schema.features_of(g), dtype=np.int64)
             for g in range(self.n_groups)
         ]
-        # feature id of each sample within each group
-        self.fidx = np.zeros((self.n, self.n_groups), dtype=np.int64)
+        # per group, the feature id of each sample within it
+        self.fidx = np.zeros((self.n_groups, self.n), dtype=np.int64)
         for g, feats in enumerate(self.group_feats):
-            self.fidx[:, g] = feats[np.argmax(self.data.matrix[:, feats], axis=1)]
+            self.fidx[g] = feats[np.argmax(self.data.matrix[:, feats], axis=1)]
         self.anchor = [self.schema.anchor_feature(g) for g in range(self.n_groups)]
         self.anchored = self.topo.anchor_eligible if self.bcfg.anchor else frozenset()
         self.group_of = np.array([self.schema.group_of(j) for j in range(self.d)])
@@ -481,6 +481,12 @@ class _StructuredSearch:
         )
         pos_w, neg_w = gain_pos / self.scale, gain_neg / self.scale
         self.sample_w = np.where(self.labels == 1, pos_w, neg_w)
+        # the DP bound's leaf scores by leaf parity: 2 where a sample's class
+        # is the leaf's (even leaves predict positive), else 0
+        self.leaf_scores = (
+            np.where(self.labels == 1, 2.0, 0.0),
+            np.where(self.labels == -1, 2.0, 0.0),
+        )
         self.trivial_bound = float(n_pos * pos_w + n_neg * neg_w)
         forbid = self.bcfg.forbid_trivial_branch
         # final knapsack states [some feature went left, some went right]
@@ -645,8 +651,7 @@ class _StructuredSearch:
         # keep the search, and its model, alive until the cyclic collector runs
         kind, kk = child
         if kind == "leaf":
-            match = self.labels == (1 if kk % 2 == 0 else -1)
-            return np.where(match, 2.0, 0.0)
+            return self.leaf_scores[kk % 2]
         hl = self._dp_scores(self.topo.children[kk][0], zhi, allowed)
         hr = self._dp_scores(self.topo.children[kk][1], zhi, allowed)
         lo, hi = self._branch_interval(kk, zhi, allowed)
@@ -665,8 +670,8 @@ class _StructuredSearch:
         surely = np.zeros(self.d, dtype=bool)
         surely[[j for _, fixed, _ in allowed[p] for j in fixed]] = True
         groups = [g for g, _, _ in allowed[p]]
-        lo = surely[self.fidx[:, groups]].all(axis=1).astype(float)
-        hi = np.max(zhi[p][self.fidx], axis=1).astype(float)
+        lo = surely[self.fidx[groups]].all(axis=0).astype(float)
+        hi = np.max(zhi[p][self.fidx], axis=0).astype(float)
         return lo, hi
 
     # -- closure: one exact table kernel for every mode ---------------------
@@ -748,16 +753,14 @@ class _StructuredSearch:
 
     def _go_left(self, options) -> np.ndarray:
         """``(len(options), n)``: the samples each (group, subset) test sends left."""
-        member = np.zeros((len(options), self.d), dtype=bool)
-        groups = np.zeros(len(options), dtype=np.int64)
-        for o, (g, subset) in enumerate(options):
-            member[o, list(subset)] = True
-            groups[o] = g
-        go = np.empty((len(options), self.n), dtype=bool)
-        for g in range(self.n_groups):
-            rows = groups == g
-            go[rows] = member[rows][:, self.fidx[:, g]]
-        return go
+        count = len(options)
+        groups = np.fromiter((g for g, _ in options), np.int64, count)
+        sizes = np.fromiter((len(subset) for _, subset in options), np.int64, count)
+        feats = np.fromiter((j for _, subset in options for j in subset), np.int64)
+        member = np.zeros((count, self.d), dtype=bool)
+        member[np.repeat(np.arange(count), sizes), feats] = True
+        # each option's row, read at each sample's feature in the option's group
+        return member[np.arange(count)[:, None], self.fidx[groups]]
 
     def _merge(self, left, right, keep: int) -> np.ndarray:
         """Parent tables: the best split of the count between the two children.

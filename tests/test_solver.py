@@ -713,6 +713,42 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
         assert len(search.leaf_best) < len(seen)
 
 
+def test_go_left_follows_its_definition():
+    # Sample i goes left under (g, subset) exactly when its feature in group
+    # g is in the subset.  Checked on whole option lists spanning several
+    # groups, with the all-right test (unanchored root) and fixed anchors
+    # (anchored node 2), after a bit pins a group, and on the slices that
+    # _tables passes.
+    data = random_dataset(random.Random(5), 30, [3, 1, 2, 4])
+    search = solver_mod._StructuredSearch(build_model(data, preset("depth2_5")), SolveConfig())
+    schema = data.schema
+    active = {
+        (i, g): next(j for j in schema.features_of(g) if data.matrix[i, j] == 1)
+        for i in range(data.n_samples)
+        for g in range(schema.n_groups)
+    }
+
+    def check(options):
+        go = search._go_left(options)
+        assert go.shape == (len(options), data.n_samples) and go.dtype == bool
+        for o, (g, subset) in enumerate(options):
+            assert go[o].tolist() == [active[i, g] in subset for i in range(data.n_samples)]
+
+    zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
+    root, anchored = [search._options(node) for node in search._allowed(zlo, np.ones_like(zlo))]
+    assert len({g for g, _ in root}) == len({g for g, _ in anchored}) == 4
+    assert any(not subset for _, subset in root)
+    assert all(schema.anchor_feature(g) in subset for g, subset in anchored)
+    zlo[1, schema.features_of(3)[2]] = 1
+    pinned = search._options(search._allowed(zlo, np.ones_like(zlo))[1])
+    assert {g for g, _ in pinned} == {3}
+    for options in (root, anchored, pinned):
+        check(options)
+        for start in range(0, len(options), 7):
+            check(options[start:start + 7])
+    check([(2, ()), (1, (schema.features_of(1)[0],)), root[-1], anchored[0]])
+
+
 def test_structured_search_is_pinned(monkeypatch):
     # Exact figures of the structured engine: any change to propagation, the
     # bound, the closure count or the branching order shows up here before it
