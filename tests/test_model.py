@@ -175,7 +175,8 @@ PINNED_CONFIGS = {
 }
 
 # sha256 (first 16 hex digits) of the MPS and LP texts of every preset, in
-# preset order; taken before the lowering was rebuilt from shared pieces
+# preset order.  Exported models are artifacts: a faster lowering must not
+# move a byte of them.
 PINNED_EXPORTS = {
     ("seeded", "default"): ("9b6aaee9f738f43a", "dcdf2b943ef98684"),
     ("seeded", "no-strengthen"): ("253558f2447403ff", "1cf7f9a841dce245"),
