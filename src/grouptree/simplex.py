@@ -27,6 +27,9 @@ STALL_LIMIT = 1000
 _BLOCK = 1 << 15
 
 BASIC, AT_LO, AT_UP = 0, 1, 2
+# per column status, the direction in which a nonbasic column may move off
+# its bound: a sign times a reduced cost or a row entry is one comparison
+_SIGN = np.array([0.0, 1.0, -1.0])
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -79,6 +82,7 @@ class BoundedSimplex:
         self.status_col[self.basis] = BASIC
         self.value = np.where(np.isfinite(self.lower), self.lower, 0.0)
         self.beta = np.zeros(m)
+        self._basic_bounds()
 
         self.iterations = 0
         self.bland = False
@@ -89,6 +93,7 @@ class BoundedSimplex:
 
     def solve(self) -> str:
         """Fresh two-phase solve from the all-slack basis."""
+        self._basic_bounds()
         self._recompute_beta()
         if self._max_violation()[0] > FEAS_TOL:
             status = self._phase_one()
@@ -133,11 +138,18 @@ class BoundedSimplex:
                 rhs -= self.T[:, j] * v
         self.beta = rhs
 
+    def _basic_bounds(self) -> None:
+        """Cache the bounds of the basic variables, row by row.
+
+        Bounds change only between calls, so each call refreshes the cache
+        once and a pivot sets the entry of its row.
+        """
+        self.lo_b = self.lower[self.basis]
+        self.up_b = self.upper[self.basis]
+
     def _max_violation(self) -> tuple[float, int]:
-        lo = self.lower[self.basis]
-        up = self.upper[self.basis]
-        below = lo - self.beta
-        above = self.beta - up
+        below = self.lo_b - self.beta
+        above = self.beta - self.up_b
         viol = np.maximum(below, above)
         r = int(np.argmax(viol))
         return float(viol[r]), r
@@ -232,25 +244,18 @@ class BoundedSimplex:
                 self._pivot(r, pivot_col, 0.0, +1, AT_LO)
         # any remaining basic artificials sit at zero in redundant rows
 
-    def _eligible_entering(self):
-        zc = self.zc
-        lo_mask = (self.status_col == AT_LO) & (zc > OPT_TOL)
-        up_mask = (self.status_col == AT_UP) & (zc < -OPT_TOL)
-        fixed = self.upper - self.lower <= ZERO_STEP
-        lo_mask &= ~fixed
-        up_mask &= ~fixed
-        return lo_mask | up_mask
-
     def _primal(self) -> str:
         limit = 20000 + 200 * (self.m + self.n_total)
         steps = 0
+        self._basic_bounds()
+        movable = self.upper - self.lower > ZERO_STEP
         while True:
             steps += 1
             self.iterations += 1
             if steps > limit:
                 raise NumericalFailureError("primal simplex iteration limit")
-            mask = self._eligible_entering()
-            idx = np.flatnonzero(mask)
+            # a column at its lower bound may rise, one at its upper may fall
+            idx = np.flatnonzero((_SIGN[self.status_col] * self.zc > OPT_TOL) & movable)
             if len(idx) == 0:
                 return OPTIMAL
             if self.bland:
@@ -261,11 +266,9 @@ class BoundedSimplex:
             col = self.T[:, e]
             a = direction * col
 
-            lo_b = self.lower[self.basis]
-            up_b = self.upper[self.basis]
             with np.errstate(divide="ignore", invalid="ignore"):
-                drop = (self.beta - lo_b) / a
-                rise = (up_b - self.beta) / (-a)
+                drop = (self.beta - self.lo_b) / a
+                rise = (self.up_b - self.beta) / (-a)
             ratios = np.full(self.m, np.inf)
             dn = a > PIVOT_TOL
             up = a < -PIVOT_TOL
@@ -313,8 +316,8 @@ class BoundedSimplex:
         T = self.T
         T[r] /= T[r, e]
         pivot_row = T[r]
-        rows = np.flatnonzero(np.abs(col) > 0)
-        rows = rows[rows != r]
+        col[r] = 0.0
+        rows = np.flatnonzero(col)
         # Each row with a nonzero in the pivot column gets T[i] - col[i] * T[r]
         # over its full width, the same product and difference per entry as a
         # row-at-a-time update: skipping zero columns would leave -0.0 entries
@@ -328,6 +331,8 @@ class BoundedSimplex:
         self.zc[e] = 0.0
 
         self.basis[r] = e
+        self.lo_b[r] = self.lower[e]
+        self.up_b[r] = self.upper[e]
         self.beta[r] = new_val
         self.status_col[e] = BASIC
         self.status_col[leaving] = leave_status
@@ -337,6 +342,8 @@ class BoundedSimplex:
     def _dual(self) -> str:
         limit = 20000 + 200 * (self.m + self.n_total)
         steps = 0
+        self._basic_bounds()
+        movable = self.upper - self.lower > ZERO_STEP
         while True:
             steps += 1
             self.iterations += 1
@@ -350,17 +357,10 @@ class BoundedSimplex:
             target = self.lower[b] if below else self.upper[b]
             leave_status = AT_LO if below else AT_UP
             row = self.T[r, : self.n_total]
-
-            if below:
-                elig = ((self.status_col == AT_LO) & (row < -PIVOT_TOL)) | (
-                    (self.status_col == AT_UP) & (row > PIVOT_TOL)
-                )
-            else:
-                elig = ((self.status_col == AT_LO) & (row > PIVOT_TOL)) | (
-                    (self.status_col == AT_UP) & (row < -PIVOT_TOL)
-                )
-            elig &= self.upper - self.lower > ZERO_STEP
-            idx = np.flatnonzero(elig)
+            # the entering column moves the leaving row towards its bound: up
+            # from below, down from above
+            sign = -_SIGN[self.status_col] if below else _SIGN[self.status_col]
+            idx = np.flatnonzero((sign * row > PIVOT_TOL) & movable)
             if len(idx) == 0:
                 return INFEASIBLE
             ratios = np.abs(self.zc[idx] / row[idx])

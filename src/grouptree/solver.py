@@ -62,9 +62,9 @@ ENUM_BUDGET_CONSTRAINED = 20000
 # leaf kernel (bounds the float copy of the masks and the knapsack state)
 CHUNK_ROWS = 256
 CHUNK_CELLS = 1 << 16
-# the leaf-adjacent tables kept during one solve: a stored row costs its
-# table's floor + 1 cells and one cell per byte of its packed mask
-_LEAF_STORE_CELLS = 4 * CHUNK_CELLS
+# the subtree tables kept during one solve: a stored row costs its table's
+# floor + 1 cells and one cell per byte of its packed mask
+_TABLE_STORE_CELLS = 4 * CHUNK_CELLS
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,9 @@ class _LpBranchAndBound:
         self.config = config
         self.arrays = _model_arrays(model)
         _, _, _, self.obj, self.lower0, self.upper0 = self.arrays
-        self.declared = [j for j, v in enumerate(model.variables) if v.is_integer]
+        self.declared = np.array(
+            [j for j, v in enumerate(model.variables) if v.is_integer], dtype=np.int64
+        )
         self.sign = -1.0 if model.sense == "min" else 1.0
         self.iterations = 0  # pivots spent so far
         self._hot = None
@@ -374,12 +376,13 @@ class _LpBranchAndBound:
         """An integral LP optimum, or two children on the most fractional variable."""
         val, x = work
         frac_j, frac_dist = -1, -1.0
-        for j in self.declared:
-            if abs(x[j] - round(x[j])) > _TOL:
-                dist = min(x[j] - floor(x[j]), ceil(x[j]) - x[j])
-                if dist > frac_dist + 1e-12:
-                    frac_dist = dist
-                    frac_j = j
+        xd = x[self.declared]
+        # the declared variables off an integer, in declaration order
+        for j in self.declared[np.abs(xd - np.round(xd)) > _TOL].tolist():
+            dist = min(x[j] - floor(x[j]), ceil(x[j]) - x[j])
+            if dist > frac_dist + 1e-12:
+                frac_dist = dist
+                frac_j = j
         if frac_j < 0:
             return val, x, ()
 
@@ -417,11 +420,14 @@ class _StructuredSearch:
     the floor (0 in accuracy mode).  Every subtree gets one table per routed
     sample set: the best objective with at least ``t`` floored-class samples
     correct, for ``t = 0 .. floor``.  Leaf-adjacent tables come from a
-    per-group knapsack over the features (``_group_tables``), once per
-    distinct routed set in a solve (``_leaf_tables``).  A branched
+    per-group knapsack over the features (``_group_tables``).  A branched
     node sends the child sample sets of all of its tests through its children
-    as one batch and merges their tables (``_merge``).  The winning tests are
-    recovered afterwards along the winning path (``_recover``).
+    as one batch and merges their tables (``_merge``).  Every subtree but the
+    root's is served from one per-solve store (``_stored``), keyed by the
+    routed set and, at a branched node, by the box rows that fix its
+    subtree's tests, so each distinct table is computed once per solve.  The
+    winning tests are recovered afterwards along the winning path
+    (``_recover``).
     """
 
     sign = 1.0  # built models maximise
@@ -509,14 +515,22 @@ class _StructuredSearch:
         self.leaf_rows = max(
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
-        # leaf-adjacent tables of the masks routed so far: packed mask -> row
-        self.leaf_index: dict[bytes, int] = {}
-        self.leaf_best = np.empty((0, self.floor + 1))
-        self.leaf_winners = np.empty(
-            self.leaf_best.shape, dtype=np.min_scalar_type(max(self.n_groups - 1, 0))
+        # per non-root branched node, the positions of the branched nodes in
+        # its subtree: their box rows fix the subtree's options
+        self.subtree_rows = {
+            k: self._subtree_rows(k) for k in self.decl if k != self.topo.root
+        }
+        # subtree tables of the masks routed so far: signature + packed mask
+        # -> row.  A winner is a group, or an option of a non-root branched
+        # node, which allows at most max(budget, groups) of them.
+        self.store_index: dict[bytes, int] = {}
+        self.store_best = np.empty((0, self.floor + 1))
+        most = max(self.n_groups, self.enum_budget if self.subtree_rows else 0)
+        self.store_winners = np.empty(
+            self.store_best.shape, dtype=np.min_scalar_type(max(most - 1, 0))
         )
         row_cells = self.floor + 1 + (self.n + 7) // 8
-        self.leaf_capacity = max(1, _LEAF_STORE_CELLS // row_cells)
+        self.store_capacity = max(1, _TABLE_STORE_CELLS // row_cells)
 
     # -- node work for the shared loop ----------------------------------------
 
@@ -546,12 +560,14 @@ class _StructuredSearch:
         if bit is None:
             # the best scaled objective meeting the floor (-inf if none), and
             # the first root test (or group, for a one-node tree) reaching it
-            options = [self._options(node) for node in allowed]
+            # each branched node's tests, and the signatures that key the
+            # stored tables of the non-root ones
+            closure = [self._options(node) for node in allowed], self._signatures(zlo, zhi)
             everyone = np.ones((1, self.n), dtype=bool)
-            tables, winners = self._tables(("node", self.topo.root), everyone, options)
+            tables, winners = self._tables(("node", self.topo.root), everyone, closure)
             value, winner = float(tables[0, self.floor]), int(winners[0, self.floor])
             # the loop compares objectives; _recover wants the scaled value
-            return value / self.scale, (value, winner, options), ()
+            return value / self.scale, (value, winner, closure), ()
         p_star, j_star = bit
         child_hi = zhi.copy()
         child_hi[p_star, j_star] = 0
@@ -561,11 +577,11 @@ class _StructuredSearch:
 
     def assignment(self, solution) -> dict[str, float]:
         """The winning closure's tests, recovered and written as an assignment."""
-        value, winner, options = solution
+        value, winner, closure = solution
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
         root = ("node", self.topo.root)
-        self._recover(root, everyone, self.floor, value, winner, options, tests)
+        self._recover(root, everyone, self.floor, value, winner, closure, tests)
         return self._assignment_from_tests(tests)
 
     def _branch_bit(self, zlo, zhi):
@@ -639,6 +655,29 @@ class _StructuredSearch:
                 options.append((g, tuple(sorted(subset))))
         return options
 
+    def _subtree_rows(self, k: int) -> np.ndarray:
+        """Positions of the branched nodes in node ``k``'s subtree, ``k`` included."""
+        rows, stack = [], [k]
+        while stack:
+            kk = stack.pop()
+            if kk in self.decl_pos:
+                rows.append(self.decl_pos[kk])
+                stack.extend(c for kind, c in self.topo.children[kk] if kind == "node")
+        return np.array(sorted(rows), dtype=np.int64)
+
+    def _signatures(self, zlo, zhi) -> dict[int, bytes]:
+        """Per non-root branched node: its id and its subtree's propagated box rows.
+
+        Those rows fix the options of every branched node in the subtree
+        (``_allowed`` reads a node's own rows only, and propagating them again
+        changes nothing), so two closures whose signatures agree at a node
+        have the same table there for each routed mask.
+        """
+        return {
+            k: k.to_bytes(4, "little") + np.packbits([zlo[rows], zhi[rows]]).tobytes()
+            for k, rows in self.subtree_rows.items()
+        }
+
     # -- per-sample relaxation bound ------------------------------------------
 
     def _dp_bound(self, zhi, allowed) -> float:
@@ -679,22 +718,91 @@ class _StructuredSearch:
     # A table holds, for ``t = 0 .. floor``, the best scaled objective of a
     # subtree with at least ``t`` floored-class samples correct.
 
-    def _tables(self, child, masks, options):
+    def _tables(self, child, masks, closure):
         """``(len(masks), floor + 1)`` tables of the subtree, one per routed mask.
 
         Also returns, per entry, the first option (or group, at a
-        leaf-adjacent node) that reaches it.  A branched node sends the child
-        masks of a chunk of its options through each child as one batch; the
-        root keeps only the entry that meets the floor.
+        leaf-adjacent node) that reaches it.  ``closure`` holds each branched
+        node's options and each non-root branched node's signature.  The
+        root's tables are computed directly, since a closure routes only the
+        all-samples mask there; every other subtree's come from the store.
         """
         k = child[1]
-        if k in self.topo.leaf_adjacent and self.n_groups:
-            return self._leaf_tables(masks)
+        if k == self.topo.root:
+            return self._computed(k, masks, closure)
+        return self._stored(k, masks, closure)
+
+    def _stored(self, k, masks, closure):
+        """Node ``k``'s tables, each (signature, mask) computed once per solve.
+
+        A non-root table depends only on the routed mask, on what fixes the
+        options in the subtree, and on the mode and the floor, which are
+        fixed for the solve.  A leaf-adjacent node's test is never branched
+        and its children are leaves, so its signature is empty and its table
+        is shared by every leaf-adjacent node; a branched node's signature is
+        its closure's (``_signatures``).  A row's winner does not depend on
+        the other masks of its batch, so one store serves every closure of a
+        solve and the recovery.  It grows geometrically up to
+        ``store_capacity`` rows; a batch that overfills it starts it afresh.
+        """
+        packed = np.packbits(masks, axis=1)
+        keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+        if k in self.decl_pos:
+            sig = closure[1][k]
+            keys = [sig + key for key in keys]
+        # each distinct key -> the position of its first mask in the batch
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        index = self.store_index
+        new = [key for key in first if key not in index]
+        if new:
+            # the batch's stored rows are read first: a branched node's new
+            # rows recurse into the store, which may clear it meanwhile
+            old = [key for key in first if key in index]
+            at = np.fromiter(map(index.__getitem__, old), np.int64, len(old))
+            old_best, old_winners = self.store_best[at], self.store_winners[at]
+            fresh = np.fromiter(map(first.__getitem__, new), np.int64, len(new))
+            best, winners = self._computed(k, masks[fresh], closure)
+            if len(index) + len(new) > self.store_capacity or not all(
+                map(index.__contains__, old)
+            ):
+                index.clear()  # full, or cleared meanwhile: this batch starts it afresh
+                new = old + new
+                best = np.concatenate([old_best, best])
+                winners = np.concatenate([old_winners, winners])
+            start = len(index)
+            index.update(zip(new, range(start, start + len(new))))
+            if len(index) > len(self.store_best):
+                size = max(len(index), min(2 * len(self.store_best), self.store_capacity))
+                for name in ("store_best", "store_winners"):
+                    stored = getattr(self, name)
+                    grown = np.empty((size,) + stored.shape[1:], dtype=stored.dtype)
+                    grown[:start] = stored[:start]
+                    setattr(self, name, grown)
+            self.store_best[start:len(index)] = best
+            self.store_winners[start:len(index)] = winners
+        rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+        return self.store_best[rows], self.store_winners[rows]
+
+    def _computed(self, k, masks, closure):
+        """Node ``k``'s tables computed here; its children's come from ``_tables``.
+
+        A leaf-adjacent node runs the per-group knapsack in ``leaf_rows``
+        chunks.  A branched node sends the child masks of a chunk of its
+        options through each child as one batch; the root keeps only the
+        entry that meets the floor.
+        """
         best = np.full((len(masks), self.floor + 1), -np.inf)
         winners = np.zeros(best.shape, dtype=np.int64)
         if k in self.topo.leaf_adjacent:
-            return best, winners  # with no group there is no test at all
-        tests = options[self.decl_pos[k]]
+            if not self.n_groups:
+                return best, winners  # with no group there is no test at all
+            for r in range(0, len(masks), self.leaf_rows):
+                at = slice(r, r + self.leaf_rows)
+                tables = self._group_tables(self._gains(masks[at]))
+                best[at] = tables.max(axis=1)
+                winners[at] = tables.argmax(axis=1)
+            return best, winners
+        tests = closure[0][self.decl_pos[k]]
         keep = self.floor if k == self.topo.root else 0
         left_child, right_child = self.topo.children[k]
         step = max(1, CHUNK_ROWS // len(masks))
@@ -703,8 +811,8 @@ class _StructuredSearch:
             left = (masks[:, None] & go).reshape(-1, self.n)
             right = (masks[:, None] & ~go).reshape(-1, self.n)
             merged = self._merge(
-                self._tables(left_child, left, options)[0],
-                self._tables(right_child, right, options)[0],
+                self._tables(left_child, left, closure)[0],
+                self._tables(right_child, right, closure)[0],
                 keep,
             ).reshape(len(masks), len(go), -1)
             chunk_best = merged.max(axis=1)
@@ -712,44 +820,6 @@ class _StructuredSearch:
             best[better] = chunk_best[better]
             winners[better] = merged.argmax(axis=1)[better] + lo
         return best, winners
-
-    def _leaf_tables(self, masks):
-        """Leaf-adjacent tables and winning groups, one per routed mask.
-
-        Such a table depends on the mask alone: the node's children are two
-        leaves, its test is never branched, and the mode is fixed for the
-        solve.  So each distinct mask's table is computed once per solve and
-        kept in a store that grows geometrically up to ``leaf_capacity``
-        rows; a batch that overfills the store starts it afresh.
-        """
-        packed = np.packbits(masks, axis=1)
-        keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
-        # each distinct key -> the position of its first mask in the batch
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        index = self.leaf_index
-        new = [key for key in first if key not in index]
-        if index and len(index) + len(new) > self.leaf_capacity:
-            index.clear()  # full: this batch starts the store afresh
-            new = list(first)
-        start = len(index)
-        index.update(zip(new, range(start, start + len(new))))
-        rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
-        fresh = np.array([first[key] for key in new], dtype=np.int64)
-
-        if len(index) > len(self.leaf_best):
-            size = max(len(index), min(2 * len(self.leaf_best), self.leaf_capacity))
-            for name in ("leaf_best", "leaf_winners"):
-                old = getattr(self, name)
-                grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
-                grown[:start] = old[:start]
-                setattr(self, name, grown)
-        for r in range(0, len(fresh), self.leaf_rows):
-            chunk = masks[fresh[r:r + self.leaf_rows]]
-            tables = self._group_tables(self._gains(chunk))
-            at = slice(start + r, start + r + len(chunk))
-            self.leaf_best[at] = tables.max(axis=1)
-            self.leaf_winners[at] = tables.argmax(axis=1)
-        return self.leaf_best[rows], self.leaf_winners[rows]
 
     def _go_left(self, options) -> np.ndarray:
         """``(len(options), n)``: the samples each (group, subset) test sends left."""
@@ -833,7 +903,7 @@ class _StructuredSearch:
 
     # -- recovering the winning tests ---------------------------------------------
 
-    def _recover(self, child, mask, key: int, value, winner: int, options, tests):
+    def _recover(self, child, mask, key: int, value, winner: int, closure, tests):
         """Put into ``tests`` the tests that earn ``value`` at ``key``.
 
         ``winner`` is the option (or group) that the subtree's table names
@@ -855,18 +925,18 @@ class _StructuredSearch:
                     subset.append(j)
             tests[k] = (g, tuple(subset))
             return
-        tests[k] = options[self.decl_pos[k]][winner]
+        tests[k] = closure[0][self.decl_pos[k]][winner]
         go = self._go_left([tests[k]])[0]
         left_child, right_child = self.topo.children[k]
         left_mask, right_mask = mask & go, mask & ~go
-        left, left_win = self._tables(left_child, left_mask[None], options)
-        right, right_win = self._tables(right_child, right_mask[None], options)
+        left, left_win = self._tables(left_child, left_mask[None], closure)
+        right, right_win = self._tables(right_child, right_mask[None], closure)
         t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
         u = key - t
         self._recover(left_child, left_mask, t, left[0, t], int(left_win[0, t]),
-                      options, tests)
+                      closure, tests)
         self._recover(right_child, right_mask, u, right[0, u], int(right_win[0, u]),
-                      options, tests)
+                      closure, tests)
 
     # -- incumbent assignment ------------------------------------------------------
 

@@ -690,7 +690,7 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
     # own, for repeated and new masks alike, also when a tiny store (a few
     # rows) is refilled on almost every batch.
     if store_cells is not None:
-        monkeypatch.setattr(solver_mod, "_LEAF_STORE_CELLS", store_cells)
+        monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
     data = random_dataset(random.Random(3), 40, [3, 2, 4])
     search = solver_mod._StructuredSearch(
         build_model(data, preset("depth2"), cfg), SolveConfig()
@@ -708,9 +708,125 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
         assert np.array_equal(best, tables.max(axis=1))
         assert np.array_equal(winners, tables.argmax(axis=1))
     if store_cells is None:
-        assert len(search.leaf_index) == len(seen)  # each mask stored once
+        assert len(search.store_index) == len(seen)  # each mask stored once
     else:
-        assert len(search.leaf_best) < len(seen)
+        assert len(search.store_best) < len(seen)
+
+
+def _direct_tables(search, child, masks, options):
+    """Test-local reference: a subtree's tables from their definition, mask by mask.
+
+    A branched node's entry ``u`` is the best ``left[t] + right[u - t]`` over
+    its options; its winner is the first option reaching it.
+    """
+    k = child[1]
+    if k in search.topo.leaf_adjacent:
+        tables = search._group_tables(search._gains(masks))
+        return tables.max(axis=1), tables.argmax(axis=1)
+    tests = options[search.decl_pos[k]]
+    go = search._go_left(tests)
+    left_child, right_child = search.topo.children[k]
+    best = np.empty((len(masks), search.floor + 1))
+    winners = np.empty(best.shape, dtype=np.int64)
+    for i, mask in enumerate(masks):
+        left = _direct_tables(search, left_child, mask & go, options)[0]
+        right = _direct_tables(search, right_child, mask & ~go, options)[0]
+        merged = np.stack(
+            [np.max([left[:, t] + right[:, u - t] for t in range(u + 1)], axis=0)
+             for u in range(search.floor + 1)],
+            axis=1,
+        )
+        best[i], winners[i] = merged.max(axis=0), merged.argmax(axis=0)
+    return best, winners
+
+
+@pytest.mark.parametrize("store_cells", [None, 40], ids=["store", "tiny-store"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        BuildConfig(),
+        BuildConfig(
+            mode="max_sensitivity", min_specificity=Fraction(1, 2), forbid_trivial_branch=True
+        ),
+    ],
+    ids=["accuracy", "floored"],
+)
+@pytest.mark.parametrize("shape", ["depth3", "imbalanced"])
+def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg):
+    # A non-root branched node's tables served from the per-solve store are
+    # its tables by definition, for repeated and new masks, under closures
+    # whose boxes differ at the node or only below it, and also when a tiny
+    # store (a few rows) is cleared inside the nested calls that compute them.
+    if store_cells is not None:
+        monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
+    n = 24
+    data = random_dataset(random.Random(4), n, [3, 2, 3])
+    search = solver_mod._StructuredSearch(
+        build_model(data, preset(shape), cfg), SolveConfig()
+    )
+    closures = []
+    # nothing pinned; group 2 pinned at every branched node but the root; and
+    # pinned at the deepest one only, which is below node 2 in "imbalanced"
+    for pinned in (slice(0), slice(1, None), slice(-1, None)):
+        zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
+        zhi = np.ones_like(zlo)
+        zlo[pinned, data.schema.features_of(2)[1]] = 1
+        allowed = search._allowed(zlo, zhi)
+        options = [search._options(node) for node in allowed]
+        closures.append((options, search._signatures(zlo, zhi)))
+    assert all(closures[0][1][k] != closures[1][1][k] for k in search.subtree_rows)
+    gen = np.random.default_rng(4)
+    pool = np.vstack([np.ones((1, n), bool), gen.random((6, n)) < 0.6])
+    seen = {k: set() for k in search.subtree_rows}  # the store keys fed to each node
+    for batch in range(9):
+        masks = np.vstack([pool[gen.integers(0, len(pool), 7)], gen.random((2, n)) < 0.6])
+        closure = closures[batch % 3]
+        for k in search.subtree_rows:
+            sig = closure[1][k]
+            seen[k].update(sig + np.packbits(row).tobytes() for row in masks)
+            best, winners = search._tables(("node", k), masks, closure)
+            expected_best, expected_winners = _direct_tables(
+                search, ("node", k), masks, closure[0]
+            )
+            assert np.array_equal(best, expected_best)
+            assert np.array_equal(winners, expected_winners)
+    stored = set(search.store_index)
+    for k, keys in seen.items():
+        if store_cells is not None:
+            assert not keys <= stored  # the tiny store dropped some of them
+        elif ("node", k) in search.topo.children[search.topo.root]:
+            # only this test feeds the root's children: each key stored once
+            assert {key for key in stored if key[:4] == k.to_bytes(4, "little")} == keys
+        else:
+            assert keys <= stored
+
+
+@pytest.mark.parametrize(
+    "mode", ["accuracy", "max_sensitivity", "max_specificity"]
+)
+def test_solves_under_a_tiny_store_match_oracle(monkeypatch, mode):
+    # A store of a few rows is cleared inside the nested calls of almost
+    # every closure; the optimum must not move.
+    monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", 60)
+    rng = random.Random(11)
+    for name in ("depth3", "imbalanced"):
+        topo = preset(name)
+        for _ in range(2):
+            data = random_dataset(rng, rng.randrange(10, 15), [2, 3])
+            if (data.labels == 1).sum() == 0 or (data.labels == -1).sum() == 0:
+                continue
+            floor = {"max_sensitivity": {"min_specificity": Fraction(1, 2)},
+                     "max_specificity": {"min_sensitivity": Fraction(2, 3)}}.get(mode, {})
+            expected, _ = enumerate_optimal(data, topo, mode=mode, **floor)
+            result = solve_milp(build_model(data, topo, BuildConfig(mode=mode, **floor)))
+            assert result.status == OPTIMAL
+            assert abs(result.objective - float(expected)) < 1e-7
+            tree = extract_tree(result, topo, data.schema)
+            m = evaluate(tree, data)
+            earned = {"accuracy": m.true_positive + m.true_negative,
+                      "max_sensitivity": m.true_positive,
+                      "max_specificity": m.true_negative}[mode]
+            assert earned == int(expected)
 
 
 def test_go_left_follows_its_definition():
@@ -757,9 +873,16 @@ def test_structured_search_is_pinned(monkeypatch):
 
 
 def test_structured_search_is_pinned_with_a_tiny_store(monkeypatch):
-    # A leaf table store of a few rows, refilled on almost every batch, must
-    # not change the pinned figures.
+    # A table store of a few rows, refilled on almost every batch, must not
+    # change the pinned figures.
     _check_pinned_figures(monkeypatch, 200)
+
+
+def test_structured_search_is_pinned_with_a_store_cleared_mid_batch(monkeypatch):
+    # A store of some hundred rows keeps a branched node's rows across
+    # batches but is cleared while that node computes the rows of its new
+    # masks; the rows it already held must still be served.
+    _check_pinned_figures(monkeypatch, 30000)
 
 
 def _check_pinned_figures(monkeypatch, store_cells):
@@ -768,7 +891,7 @@ def _check_pinned_figures(monkeypatch, store_cells):
     from grouptree.experiments import train_test_run
 
     if store_cells is not None:
-        monkeypatch.setattr(solver_mod, "_LEAF_STORE_CELLS", store_cells)
+        monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
     table = monks(1)
     run = train_test_run(encode(table, build_schema(table)), preset("imbalanced"), seed=1)
     assert (run.solve.status, run.solve.objective) == (OPTIMAL, 389.0)
