@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from grouptree import simplex
 from grouptree.errors import NumericalFailureError
 from grouptree.model import build_model
 from grouptree.simplex import AT_LO, AT_UP, BASIC, BoundedSimplex, INFEASIBLE, OPTIMAL, UNBOUNDED
-from grouptree.solver import solve_milp
+from grouptree.solver import _model_arrays, solve_milp
 from grouptree.topology import preset
 from tests.conftest import random_dataset
 
@@ -211,3 +212,19 @@ def test_primal_iteration_limit_is_per_call():
     s.set_bounds(1, 0.0, 0.0)
     assert s.resolve_dual() == OPTIMAL
     assert s.objective_value() == pytest.approx(6.0)
+
+
+def test_large_tableau_relaxation_is_pinned(monkeypatch):
+    # A 339-row relaxation whose dense pivot columns take the in-place run
+    # update of _pivot, which no benchmark workload reaches.
+    data = random_dataset(random.Random(5), 40, [3, 3, 2, 2])
+    s = BoundedSimplex(*_model_arrays(build_model(data, preset("depth2_5"))))
+    in_place = []
+    runs = simplex._runs
+    monkeypatch.setattr(simplex, "_runs", lambda rows: in_place.append(len(rows)) or runs(rows))
+    assert s.solve() == OPTIMAL
+    assert s.T.shape == (339, 535)
+    assert (s.iterations, len(in_place)) == (362, 213)
+    assert s.objective_value() == 40.00000000000001
+    digest = hashlib.sha256(s.solution().tobytes()).hexdigest()
+    assert digest == "b7fa12b8474c0864aa1cd58601efc1a8b6e890476e2605f85bd9c859b1150905"
