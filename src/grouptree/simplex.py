@@ -11,6 +11,8 @@ cycle.  All choices are index-based, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalFailureError
@@ -30,6 +32,7 @@ BASIC, AT_LO, AT_UP = 0, 1, 2
 # per column status, the direction in which a nonbasic column may move off
 # its bound: a sign times a reduced cost or a row entry is one comparison
 _SIGN = np.array([0.0, 1.0, -1.0])
+_SIGN_DOWN = -_SIGN  # the direction that lowers a row by a positive entry
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -131,11 +134,11 @@ class BoundedSimplex:
     # ---- internals ----
 
     def _recompute_beta(self) -> None:
-        rhs = self.T[:, -1].copy()
-        for j in np.flatnonzero(self.status_col != BASIC):
-            v = self.value[j]
-            if v != 0.0:
-                rhs -= self.T[:, j] * v
+        T, value = self.T, self.value
+        rhs = T[:, -1].copy()
+        # column by column in index order: a matmul sums in another order
+        for j in ((self.status_col != BASIC) & (value != 0.0)).nonzero()[0].tolist():
+            rhs -= T[:, j] * value[j]
         self.beta = rhs
 
     def _basic_bounds(self) -> None:
@@ -248,45 +251,46 @@ class BoundedSimplex:
         limit = 20000 + 200 * (self.m + self.n_total)
         steps = 0
         self._basic_bounds()
-        movable = self.upper - self.lower > ZERO_STEP
+        # bound to locals: within a call these arrays change only in place
+        T, zc, beta, lo_b, up_b = self.T, self.zc, self.beta, self.lo_b, self.up_b
+        status_col, value, lower, upper = self.status_col, self.value, self.lower, self.upper
+        movable = upper - lower > ZERO_STEP
+        no_bound = np.full(self.m, np.inf)
         while True:
             steps += 1
             self.iterations += 1
             if steps > limit:
                 raise NumericalFailureError("primal simplex iteration limit")
             # a column at its lower bound may rise, one at its upper may fall
-            idx = np.flatnonzero((_SIGN[self.status_col] * self.zc > OPT_TOL) & movable)
+            idx = ((_SIGN.take(status_col) * zc > OPT_TOL) & movable).nonzero()[0]
             if len(idx) == 0:
                 return OPTIMAL
             if self.bland:
                 e = int(idx[0])
             else:
-                e = int(idx[np.argmax(np.abs(self.zc[idx]))])
-            direction = +1 if self.status_col[e] == AT_LO else -1
-            col = self.T[:, e]
+                e = int(idx[np.abs(zc[idx]).argmax()])
+            direction = +1 if status_col[e] == AT_LO else -1
+            col = T[:, e]
             a = direction * col
 
-            with np.errstate(divide="ignore", invalid="ignore"):
-                drop = (self.beta - self.lo_b) / a
-                rise = (self.up_b - self.beta) / (-a)
-            ratios = np.full(self.m, np.inf)
-            dn = a > PIVOT_TOL
-            up = a < -PIVOT_TOL
-            ratios[dn] = np.maximum(drop[dn], 0.0)
-            ratios[up] = np.maximum(rise[up], 0.0)
-            ratios = np.where(np.isnan(ratios), np.inf, ratios)
-            t_rows = float(np.min(ratios)) if self.m else np.inf
-            own = self.upper[e] - self.lower[e]
-            t_own = own if np.isfinite(own) else np.inf
+            # each row's step to its bound along a, only where |a| passes the
+            # pivot tolerance: no division by zero, every other row stays inf
+            ratios = no_bound.copy()
+            np.divide(beta - lo_b, a, out=ratios, where=a > PIVOT_TOL)
+            np.divide(up_b - beta, -a, out=ratios, where=a < -PIVOT_TOL)
+            np.maximum(ratios, 0.0, out=ratios)
+            np.fmin(ratios, np.inf, out=ratios)  # NaN to inf
+            t_rows = float(ratios.min()) if self.m else math.inf
+            own = float(upper[e] - lower[e])
 
-            if t_own <= t_rows + ZERO_STEP and np.isfinite(t_own):
+            if math.isfinite(own) and own <= t_rows + ZERO_STEP:
                 # bound flip, no basis change
-                self.beta -= a * t_own
-                self.status_col[e] = AT_UP if direction == +1 else AT_LO
-                self.value[e] = self.upper[e] if direction == +1 else self.lower[e]
-                self._note_step(t_own)
+                beta -= a * own
+                status_col[e] = AT_UP if direction == +1 else AT_LO
+                value[e] = upper[e] if direction == +1 else lower[e]
+                self._note_step(own)
                 continue
-            if not np.isfinite(t_rows):
+            if not math.isfinite(t_rows):
                 return UNBOUNDED
             r = self._leaving_row(ratios, t_rows)
             hits_lower = a[r] > 0
@@ -294,10 +298,11 @@ class BoundedSimplex:
             self._pivot(r, e, t_rows, direction, AT_LO if hits_lower else AT_UP)
 
     def _leaving_row(self, ratios: np.ndarray, t: float) -> int:
-        ties = np.flatnonzero(ratios <= t + ZERO_STEP)
+        ties = ratios <= t + ZERO_STEP
         if self.bland:
-            return int(ties[np.argmin(self.basis[ties])])
-        return int(ties[0])
+            ties = ties.nonzero()[0]
+            return int(ties[self.basis[ties].argmin()])
+        return int(ties.argmax())  # the first tie
 
     def _note_step(self, t: float) -> None:
         if t <= ZERO_STEP:
@@ -308,16 +313,16 @@ class BoundedSimplex:
             self._stall = 0
 
     def _pivot(self, r: int, e: int, t: float, direction: int, leave_status: int) -> None:
-        col = self.T[:, e].copy()
-        leaving = self.basis[r]
-        new_val = (self.value[e] if self.status_col[e] != BASIC else self.beta[r]) + direction * t
+        T, beta, status_col, value = self.T, self.beta, self.status_col, self.value
+        col = T[:, e].copy()
+        leaving = int(self.basis[r])
+        new_val = (value[e] if status_col[e] != BASIC else beta[r]) + direction * t
 
-        self.beta -= direction * t * col
-        T = self.T
-        T[r] /= T[r, e]
+        beta -= direction * t * col
         pivot_row = T[r]
+        pivot_row /= pivot_row[e]
         col[r] = 0.0
-        rows = np.flatnonzero(col)
+        rows = col.nonzero()[0]
         # Each row with a nonzero in the pivot column gets T[i] - col[i] * T[r]
         # over its full width, the same product and difference per entry as a
         # row-at-a-time update: skipping zero columns would leave -0.0 entries
@@ -327,49 +332,54 @@ class BoundedSimplex:
         else:  # in place, one slice per run of consecutive rows: no gathered copy
             for a, b in _runs(rows):
                 T[a:b] -= np.multiply.outer(col[a:b], pivot_row)
-        self.zc -= self.zc[e] * T[r, : self.n_total]
-        self.zc[e] = 0.0
+        zc = self.zc
+        zc -= zc[e] * pivot_row[: self.n_total]
+        zc[e] = 0.0
 
         self.basis[r] = e
         self.lo_b[r] = self.lower[e]
         self.up_b[r] = self.upper[e]
-        self.beta[r] = new_val
-        self.status_col[e] = BASIC
-        self.status_col[leaving] = leave_status
+        beta[r] = new_val
+        status_col[e] = BASIC
+        status_col[leaving] = leave_status
         bound = self.lower[leaving] if leave_status == AT_LO else self.upper[leaving]
-        self.value[leaving] = bound if np.isfinite(bound) else 0.0
+        value[leaving] = bound if math.isfinite(bound) else 0.0
 
     def _dual(self) -> str:
         limit = 20000 + 200 * (self.m + self.n_total)
         steps = 0
         self._basic_bounds()
+        # bound to locals: within a call these arrays change only in place
+        T, zc, beta, lo_b, up_b = self.T, self.zc, self.beta, self.lo_b, self.up_b
+        status_col, n = self.status_col, self.n_total
         movable = self.upper - self.lower > ZERO_STEP
         while True:
             steps += 1
             self.iterations += 1
             if steps > limit:
                 raise NumericalFailureError("dual simplex iteration limit")
-            viol, r = self._max_violation()
-            if viol <= FEAS_TOL:
+            viol = np.maximum(lo_b - beta, beta - up_b)
+            r = int(viol.argmax())
+            if viol[r] <= FEAS_TOL:
                 return OPTIMAL
-            b = self.basis[r]
-            below = self.beta[r] < self.lower[b]
-            target = self.lower[b] if below else self.upper[b]
-            leave_status = AT_LO if below else AT_UP
-            row = self.T[r, : self.n_total]
+            below = beta[r] < lo_b[r]
+            target = lo_b[r] if below else up_b[r]
+            row = T[r, :n]
             # the entering column moves the leaving row towards its bound: up
             # from below, down from above
-            sign = -_SIGN[self.status_col] if below else _SIGN[self.status_col]
-            idx = np.flatnonzero((sign * row > PIVOT_TOL) & movable)
+            sign = _SIGN_DOWN if below else _SIGN
+            idx = ((sign.take(status_col) * row > PIVOT_TOL) & movable).nonzero()[0]
             if len(idx) == 0:
                 return INFEASIBLE
-            ratios = np.abs(self.zc[idx] / row[idx])
-            e = int(idx[np.argmin(ratios)]) if not self.bland else int(idx[0])
+            if self.bland:
+                e = int(idx[0])
+            else:
+                e = int(idx[np.abs(zc[idx] / row[idx]).argmin()])
 
-            direction = +1 if self.status_col[e] == AT_LO else -1
-            t = (self.beta[r] - target) / (direction * self.T[r, e])
+            direction = +1 if status_col[e] == AT_LO else -1
+            t = float((beta[r] - target) / (direction * row[e]))
             self._note_step(t)
-            self._pivot(r, e, t, direction, leave_status)
+            self._pivot(r, e, t, direction, AT_LO if below else AT_UP)
 
 
 def _runs(rows: np.ndarray):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from math import ceil, floor
 
 import numpy as np
 import pytest
@@ -190,6 +191,183 @@ def test_pivot_matches_row_by_row_reference(m, n):
         assert np.array_equal(s.status_col, ref.status_col)
     if m == 150:  # both the gathered and the in-place run update were taken
         assert min(blocks) < simplex._BLOCK <= max(blocks)
+
+
+class _ReferenceLoops(BoundedSimplex):
+    """The simplex loops the leaner ones must reproduce, step for step.
+
+    Kept as they were before the loops were rewritten, with a count of the
+    primal bound flips added.
+    """
+
+    flips = 0
+
+    def _recompute_beta(self):
+        rhs = self.T[:, -1].copy()
+        for j in np.flatnonzero(self.status_col != BASIC):
+            v = self.value[j]
+            if v != 0.0:
+                rhs -= self.T[:, j] * v
+        self.beta = rhs
+
+    def _max_violation(self):
+        below = self.lo_b - self.beta
+        above = self.beta - self.up_b
+        viol = np.maximum(below, above)
+        r = int(np.argmax(viol))
+        return float(viol[r]), r
+
+    def _primal(self):
+        limit = 20000 + 200 * (self.m + self.n_total)
+        steps = 0
+        self._basic_bounds()
+        movable = self.upper - self.lower > simplex.ZERO_STEP
+        while True:
+            steps += 1
+            self.iterations += 1
+            if steps > limit:
+                raise NumericalFailureError("primal simplex iteration limit")
+            idx = np.flatnonzero((simplex._SIGN[self.status_col] * self.zc > simplex.OPT_TOL) & movable)
+            if len(idx) == 0:
+                return OPTIMAL
+            if self.bland:
+                e = int(idx[0])
+            else:
+                e = int(idx[np.argmax(np.abs(self.zc[idx]))])
+            direction = +1 if self.status_col[e] == AT_LO else -1
+            col = self.T[:, e]
+            a = direction * col
+
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drop = (self.beta - self.lo_b) / a
+                rise = (self.up_b - self.beta) / (-a)
+            ratios = np.full(self.m, np.inf)
+            dn = a > simplex.PIVOT_TOL
+            up = a < -simplex.PIVOT_TOL
+            ratios[dn] = np.maximum(drop[dn], 0.0)
+            ratios[up] = np.maximum(rise[up], 0.0)
+            ratios = np.where(np.isnan(ratios), np.inf, ratios)
+            t_rows = float(np.min(ratios)) if self.m else np.inf
+            own = self.upper[e] - self.lower[e]
+            t_own = own if np.isfinite(own) else np.inf
+
+            if t_own <= t_rows + simplex.ZERO_STEP and np.isfinite(t_own):
+                self.flips += 1
+                self.beta -= a * t_own
+                self.status_col[e] = AT_UP if direction == +1 else AT_LO
+                self.value[e] = self.upper[e] if direction == +1 else self.lower[e]
+                self._note_step(t_own)
+                continue
+            if not np.isfinite(t_rows):
+                return UNBOUNDED
+            r = self._leaving_row(ratios, t_rows)
+            hits_lower = a[r] > 0
+            self._note_step(t_rows)
+            self._pivot(r, e, t_rows, direction, AT_LO if hits_lower else AT_UP)
+
+    def _leaving_row(self, ratios, t):
+        ties = np.flatnonzero(ratios <= t + simplex.ZERO_STEP)
+        if self.bland:
+            return int(ties[np.argmin(self.basis[ties])])
+        return int(ties[0])
+
+    def _dual(self):
+        limit = 20000 + 200 * (self.m + self.n_total)
+        steps = 0
+        self._basic_bounds()
+        movable = self.upper - self.lower > simplex.ZERO_STEP
+        while True:
+            steps += 1
+            self.iterations += 1
+            if steps > limit:
+                raise NumericalFailureError("dual simplex iteration limit")
+            viol, r = self._max_violation()
+            if viol <= simplex.FEAS_TOL:
+                return OPTIMAL
+            b = self.basis[r]
+            below = self.beta[r] < self.lower[b]
+            target = self.lower[b] if below else self.upper[b]
+            leave_status = AT_LO if below else AT_UP
+            row = self.T[r, : self.n_total]
+            sign = -simplex._SIGN[self.status_col] if below else simplex._SIGN[self.status_col]
+            idx = np.flatnonzero((sign * row > simplex.PIVOT_TOL) & movable)
+            if len(idx) == 0:
+                return INFEASIBLE
+            ratios = np.abs(self.zc[idx] / row[idx])
+            e = int(idx[np.argmin(ratios)]) if not self.bland else int(idx[0])
+
+            direction = +1 if self.status_col[e] == AT_LO else -1
+            t = (self.beta[r] - target) / (direction * self.T[r, e])
+            self._note_step(t)
+            self._pivot(r, e, t, direction, leave_status)
+
+
+def _random_lp(rng):
+    """A small LP with <=, >= and = rows, integral bounds and some infinite uppers.
+
+    The rows hold at an integral point within the bounds, so the LP is
+    feasible.
+    """
+    m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+    A = rng.integers(-4, 5, size=(m, n)) * rng.choice([1.0, 0.5, 1 / 3], size=(m, n))
+    A[rng.random((m, n)) < 0.3] = 0.0
+    senses = rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.3, 0.2])
+    obj = rng.integers(-5, 6, size=n).astype(float)
+    lower = rng.integers(0, 2, size=n).astype(float)
+    upper = np.where(rng.random(n) < 0.5, np.inf, lower + rng.integers(0, 5, size=n))
+    point = lower + rng.integers(0, 3, size=n).clip(max=upper - lower)
+    slack = rng.integers(0, 4, size=m)
+    rhs = A @ point + np.select([senses == "<=", senses == ">="], [slack, -slack], 0)
+    return A, [str(x) for x in senses], rhs, obj, lower, upper
+
+
+def _outcome(s, method):
+    try:
+        return getattr(s, method)()
+    except NumericalFailureError as exc:
+        return str(exc)
+
+
+def _assert_same_state(s, ref):
+    for name in ("T", "beta", "zc", "value", "lo_b", "up_b", "lower", "upper"):
+        got, want = getattr(s, name), getattr(ref, name)
+        assert np.array_equal(got, want, equal_nan=True), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+    for name in ("basis", "status_col", "art_cols", "iterations", "bland", "_stall"):
+        assert np.array_equal(getattr(s, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_loops_match_reference(bland):
+    rng = np.random.default_rng(41 + bland)
+    fixed = [  # one infeasible and one unbounded LP ahead of the random ones
+        ([[1.0], [1.0]], ["<=", ">="], [1.0, 2.0], [1.0], [0.0], [np.inf]),
+        ([[-1.0, 1.0]], ["<="], [0.0], [1.0, 0.0], [0.0, 0.0], [np.inf, 1.0]),
+    ]
+    statuses, flips, negative_zeros = set(), 0, 0
+    for args in fixed + [_random_lp(rng) for _ in range(80)]:
+        s, ref = BoundedSimplex(*map(copy.copy, args)), _ReferenceLoops(*map(copy.copy, args))
+        s.bland = ref.bland = bland
+        status = _outcome(s, "solve")
+        assert _outcome(ref, "solve") == status
+        _assert_same_state(s, ref)
+        statuses.add(status)
+        for _ in range(3):  # tighten one bound around the optimum, re-solve from the basis
+            if status != OPTIMAL:
+                break
+            j = int(rng.integers(s.n_struct))
+            x = s.solution()[j]
+            lo, up = (s.lower[j], floor(x)) if rng.random() < 0.5 else (ceil(x), s.upper[j])
+            s.set_bounds(j, lo, up)
+            ref.set_bounds(j, lo, up)
+            status = _outcome(s, "resolve_dual")
+            assert _outcome(ref, "resolve_dual") == status
+            _assert_same_state(s, ref)
+            statuses.add(status)
+        flips += ref.flips
+        negative_zeros += sum(int(np.signbit(a[a == 0]).sum()) for a in (s.T, s.beta, s.zc))
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= statuses
+    assert flips > 0 and negative_zeros > 0
 
 
 def test_lp_engine_search_is_pinned():
