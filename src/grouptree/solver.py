@@ -386,10 +386,12 @@ class _LpBranchAndBound:
         if frac_j < 0:
             return val, x, ()
 
+        # each child narrows the node's own box, which may already bound frac_j
+        lo, hi = patch.get(frac_j, (self.lower0[frac_j], self.upper0[frac_j]))
         down = dict(patch)
-        down[frac_j] = (self.lower0[frac_j], float(floor(x[frac_j] + _TOL)))
+        down[frac_j] = (lo, float(floor(x[frac_j] + _TOL)))
         up = dict(patch)
-        up[frac_j] = (float(ceil(x[frac_j] - _TOL)), self.upper0[frac_j])
+        up[frac_j] = (float(ceil(x[frac_j] - _TOL)), hi)
         prefer_up = x[frac_j] - floor(x[frac_j]) >= 0.5
         return -np.inf, None, ((down, up) if prefer_up else (up, down))
 

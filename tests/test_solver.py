@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -359,6 +360,72 @@ def test_lp_engine_min_sense_integer_program():
     assert result.assignment["X"] + result.assignment["Y"] == 2.0
     with pytest.raises(TimeLimitNoIncumbentError):
         solve_milp(model, SolveConfig(node_limit=0), method="lp")
+
+
+def _general_integer_program(rng):
+    """Integer variables on [0, U], U of 3, 5 or 8, under random <= rows."""
+    names = [f"X{j}" for j in range(rng.randint(2, 3))]
+    upper = float(rng.choice((3, 5, 8)))
+    rows = [
+        Constraint(f"R{t}", tuple((v, float(rng.randint(1, 9))) for v in names), "<=",
+                   rng.randint(5, 40) + 0.5 * rng.randint(0, 1))
+        for t in range(rng.randint(2, 3))
+    ]
+    objective = tuple((v, float(rng.randint(1, 9))) for v in names)
+    variables = [Variable(v, 0.0, upper, True, "x") for v in names]
+    return MilpModel("GENINT", "max", variables, rows, objective)
+
+
+def _brute_force(model):
+    values = range(int(model.variables[0].upper) + 1)
+    best = -np.inf
+    for point in itertools.product(values, repeat=len(model.variables)):
+        x = dict(zip((v.name for v in model.variables), point))
+        if all(sum(c * x[v] for v, c in row.coeffs) <= row.rhs for row in model.constraints):
+            best = max(best, sum(c * x[v] for v, c in model.objective))
+    return best
+
+
+def test_lp_branching_nests_boxes(monkeypatch):
+    # Branching twice on one general-integer variable must narrow the box the
+    # node already has, not reopen the variable's original range.
+    split = solver_mod._LpBranchAndBound.split
+    looser = []
+
+    def checked_split(self, patch, work):
+        out = split(self, patch, work)
+        for child in out[2]:
+            for j, (lo, up) in child.items():
+                parent_lo, parent_up = patch.get(j, (self.lower0[j], self.upper0[j]))
+                if lo < parent_lo or up > parent_up:
+                    looser.append((patch, child))
+        return out
+
+    monkeypatch.setattr(solver_mod._LpBranchAndBound, "split", checked_split)
+    rng = random.Random(0)
+    for _ in range(300):
+        model = _general_integer_program(rng)
+        result = solve_milp(model, SolveConfig(node_limit=500), method="lp")
+        assert result.status == OPTIMAL
+        assert result.objective == pytest.approx(_brute_force(model), abs=1e-6)
+    assert not looser
+
+
+def test_lp_branching_terminates_on_a_reopened_range():
+    # With each child's box reset to the variable's original range, this
+    # program branched on X1 <= 0 and then X1 >= 1 under it, and so on,
+    # without ever finding an incumbent.
+    names = ("X0", "X1", "X2")
+    rows = [((8.0, 7.0, 1.0), 28.0), ((9.0, 5.0, 1.0), 23.5), ((5.0, 5.0, 6.0), 5.5)]
+    model = MilpModel(
+        "REOPEN", "max", [Variable(v, 0.0, 3.0, True, "x") for v in names],
+        [Constraint(f"R{t}", tuple(zip(names, coeffs)), "<=", rhs)
+         for t, (coeffs, rhs) in enumerate(rows)],
+        tuple(zip(names, (9.0, 9.0, 3.0))),
+    )
+    result = solve_milp(model, SolveConfig(node_limit=500), method="lp")
+    assert (result.status, result.objective) == (OPTIMAL, 9.0)
+    assert result.nodes_processed == 10
 
 
 def test_failed_resolve_pivots_are_counted(rng, monkeypatch):
