@@ -98,7 +98,7 @@ class BoundedSimplex:
         """Fresh two-phase solve from the all-slack basis."""
         self._basic_bounds()
         self._recompute_beta()
-        if self._max_violation()[0] > FEAS_TOL:
+        if self._violation().max() > FEAS_TOL:
             status = self._phase_one()
             if status != OPTIMAL:
                 return status
@@ -150,12 +150,9 @@ class BoundedSimplex:
         self.lo_b = self.lower[self.basis]
         self.up_b = self.upper[self.basis]
 
-    def _max_violation(self) -> tuple[float, int]:
-        below = self.lo_b - self.beta
-        above = self.beta - self.up_b
-        viol = np.maximum(below, above)
-        r = int(np.argmax(viol))
-        return float(viol[r]), r
+    def _violation(self) -> np.ndarray:
+        """How far each basic variable lies outside its bounds, row by row."""
+        return np.maximum(self.lo_b - self.beta, self.beta - self.up_b)
 
     def _load_objective(self) -> None:
         c = np.zeros(self.n_total)
@@ -358,7 +355,7 @@ class BoundedSimplex:
             self.iterations += 1
             if steps > limit:
                 raise NumericalFailureError("dual simplex iteration limit")
-            viol = np.maximum(lo_b - beta, beta - up_b)
+            viol = self._violation()
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 return OPTIMAL
