@@ -32,7 +32,7 @@ BASIC, AT_LO, AT_UP = 0, 1, 2
 # per column status, the direction in which a nonbasic column may move off
 # its bound: a sign times a reduced cost or a row entry is one comparison
 _SIGN = np.array([0.0, 1.0, -1.0])
-_SIGN_DOWN = -_SIGN  # the direction that lowers a row by a positive entry
+_SIGN_DOWN = -_SIGN  # for a dual step whose leaving row lies below its lower bound
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -252,7 +252,7 @@ class BoundedSimplex:
         T, zc, beta, lo_b, up_b = self.T, self.zc, self.beta, self.lo_b, self.up_b
         status_col, value, lower, upper = self.status_col, self.value, self.lower, self.upper
         movable = upper - lower > ZERO_STEP
-        no_bound = np.full(self.m, np.inf)
+        all_inf = np.full(self.m, np.inf)
         while True:
             steps += 1
             self.iterations += 1
@@ -272,7 +272,7 @@ class BoundedSimplex:
 
             # each row's step to its bound along a, only where |a| passes the
             # pivot tolerance: no division by zero, every other row stays inf
-            ratios = no_bound.copy()
+            ratios = all_inf.copy()
             np.divide(beta - lo_b, a, out=ratios, where=a > PIVOT_TOL)
             np.divide(up_b - beta, -a, out=ratios, where=a < -PIVOT_TOL)
             np.maximum(ratios, 0.0, out=ratios)
