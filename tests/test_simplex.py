@@ -346,7 +346,7 @@ def test_loops_match_reference(bland):
     ]
     statuses, flips, negative_zeros = set(), 0, 0
     for args in fixed + [_random_lp(rng) for _ in range(80)]:
-        s, ref = BoundedSimplex(*map(copy.copy, args)), _ReferenceLoops(*map(copy.copy, args))
+        s, ref = BoundedSimplex(*args), _ReferenceLoops(*args)
         s.bland = ref.bland = bland
         status = _outcome(s, "solve")
         assert _outcome(ref, "solve") == status
