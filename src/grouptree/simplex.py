@@ -98,7 +98,7 @@ class BoundedSimplex:
         """Fresh two-phase solve from the all-slack basis."""
         self._basic_bounds()
         self._recompute_beta()
-        if self._violation().max() > FEAS_TOL:
+        if self.m and self._violation().max() > FEAS_TOL:
             status = self._phase_one()
             if status != OPTIMAL:
                 return status
@@ -343,6 +343,8 @@ class BoundedSimplex:
         value[leaving] = bound if math.isfinite(bound) else 0.0
 
     def _dual(self) -> str:
+        if not self.m:
+            return OPTIMAL  # no basic variable to lie outside its bounds
         limit = 20000 + 200 * (self.m + self.n_total)
         steps = 0
         self._basic_bounds()

@@ -10,8 +10,8 @@ split step:
   branches on the integral feature-selection bits, propagates the one-group
   implications, and closes a node exactly once the remaining assignments are
   few enough.  One closure serves every mode: it enumerates the tests at
-  branched nodes in batches and completes the leaf-adjacent tests with an
-  exact per-group knapsack;
+  branched nodes in batches and completes the leaf-adjacent tests exactly
+  per group, in closed form without a floor and by a knapsack with one;
 * a generic LP-driven search for any model (e.g. parsed from MPS): most
   fractional declared variable, bounds from the dense simplex.
 
@@ -393,7 +393,9 @@ class _LpBranchAndBound:
         up = dict(patch)
         up[frac_j] = (float(ceil(x[frac_j] - _TOL)), hi)
         prefer_up = x[frac_j] - floor(x[frac_j]) >= 0.5
-        return -np.inf, None, ((down, up) if prefer_up else (up, down))
+        children = (down, up) if prefer_up else (up, down)
+        # a fractional bound on an integer variable can leave a child no range
+        return -np.inf, None, [c for c in children if c[frac_j][0] <= c[frac_j][1]]
 
     def assignment(self, x) -> dict[str, float]:
         return {v.name: float(x[j]) for j, v in enumerate(self.model.variables)}
@@ -421,15 +423,15 @@ class _StructuredSearch:
     (integers over ``scale``), which of them counts towards the floor, and
     the floor (0 in accuracy mode).  Every subtree gets one table per routed
     sample set: the best objective with at least ``t`` floored-class samples
-    correct, for ``t = 0 .. floor``.  Leaf-adjacent tables come from a
-    per-group knapsack over the features (``_group_tables``).  A branched
-    node sends the child sample sets of all of its tests through its children
-    as one batch and merges their tables (``_merge``).  Every subtree but the
-    root's is served from one per-solve store (``_stored``), keyed by the
-    routed set and, at a branched node, by the box rows that fix its
-    subtree's tests, so each distinct table is computed once per solve.  The
-    winning tests are recovered afterwards along the winning path
-    (``_recover``).
+    correct, for ``t = 0 .. floor``.  Leaf-adjacent tables come per group
+    from a knapsack over the features (``_group_tables``), or in closed form
+    when the floor is 0 (``_leaf_tables``).  A branched node sends the child
+    sample sets of all of its tests through its children as one batch and
+    merges their tables (``_merge``).  Every subtree but the root's is served
+    from one per-solve store (``_stored``), keyed by the routed set and, at a
+    branched node, by the box rows that fix its subtree's tests, so each
+    distinct table is computed once per solve.  The winning tests are
+    recovered afterwards along the winning path (``_recover``).
     """
 
     sign = 1.0  # built models maximise
@@ -495,6 +497,12 @@ class _StructuredSearch:
             np.where(self.labels == 1, 2.0, 0.0),
             np.where(self.labels == -1, 2.0, 0.0),
         )
+        # a leaf-adjacent node's scores do not depend on the box: it may send
+        # any sample either way, to an odd (left) or an even (right) leaf
+        self.leaf_adjacent_scores = self._dp_best(
+            self.leaf_scores[1], self.leaf_scores[0], np.zeros(self.n), np.ones(self.n)
+        )
+        self.leaf_adjacent_scores.flags.writeable = False
         self.trivial_bound = float(n_pos * pos_w + n_neg * neg_w)
         forbid = self.bcfg.forbid_trivial_branch
         # final knapsack states [some feature went left, some went right]
@@ -693,9 +701,15 @@ class _StructuredSearch:
         kind, kk = child
         if kind == "leaf":
             return self.leaf_scores[kk % 2]
+        if kk in self.topo.leaf_adjacent:
+            return self.leaf_adjacent_scores
         hl = self._dp_scores(self.topo.children[kk][0], zhi, allowed)
         hr = self._dp_scores(self.topo.children[kk][1], zhi, allowed)
-        lo, hi = self._branch_interval(kk, zhi, allowed)
+        return self._dp_best(hl, hr, *self._branch_interval(kk, zhi, allowed))
+
+    @staticmethod
+    def _dp_best(hl, hr, lo, hi) -> np.ndarray:
+        """Per sample, the best score over a node's branch interval ``[lo, hi]``."""
         best = None
         for cand in (lo, hi, np.clip(hl, lo, hi), np.clip(1.0 - hr, lo, hi)):
             val = np.minimum(cand, hl) + np.minimum(1.0 - cand, hr)
@@ -703,9 +717,7 @@ class _StructuredSearch:
         return best
 
     def _branch_interval(self, k: int, zhi, allowed):
-        """Per sample, 1 if node ``k`` surely sends it left, and 1 if it may."""
-        if k not in self.decl_pos:
-            return np.zeros(self.n), np.ones(self.n)
+        """Per sample, 1 if branched node ``k`` surely sends it left, and 1 if it may."""
         p = self.decl_pos[k]
         # surely left: its feature is fixed in every group the node allows
         surely = np.zeros(self.d, dtype=bool)
@@ -788,10 +800,10 @@ class _StructuredSearch:
     def _computed(self, k, masks, closure):
         """Node ``k``'s tables computed here; its children's come from ``_tables``.
 
-        A leaf-adjacent node runs the per-group knapsack in ``leaf_rows``
-        chunks.  A branched node sends the child masks of a chunk of its
-        options through each child as one batch; the root keeps only the
-        entry that meets the floor.
+        A leaf-adjacent node runs the leaf kernel in ``leaf_rows`` chunks.  A
+        branched node sends the child masks of a chunk of its options through
+        each child as one batch; the root keeps only the entry that meets the
+        floor.
         """
         best = np.full((len(masks), self.floor + 1), -np.inf)
         winners = np.zeros(best.shape, dtype=np.int64)
@@ -800,7 +812,7 @@ class _StructuredSearch:
                 return best, winners  # with no group there is no test at all
             for r in range(0, len(masks), self.leaf_rows):
                 at = slice(r, r + self.leaf_rows)
-                tables = self._group_tables(self._gains(masks[at]))
+                tables = self._leaf_tables(self._gains(masks[at]))
                 best[at] = tables.max(axis=1)
                 winners[at] = tables.argmax(axis=1)
             return best, winners
@@ -858,6 +870,28 @@ class _StructuredSearch:
         gains = counts * self.side_weights[:, :, None, None]
         return gains.reshape((len(masks), 4) + self.slot_used.shape)
 
+    def _leaf_tables(self, gains) -> np.ndarray:
+        """``_group_tables(gains)``, in closed form when the floor is 0.
+
+        With no floor each feature sends its samples to the better leaf, so a
+        group's table is the sum over its slots of ``max(left, right)``.  A
+        forbidden trivial test then costs the cheapest move of one feature to
+        the side that none chose, and a group of one feature has no other
+        test.  Accuracy gains are integers, so every sum is exact and the
+        tables equal the knapsack's bit for bit.
+        """
+        if self.floor:
+            return self._group_tables(gains)
+        left, right = gains[:, 0], gains[:, 1]
+        best = np.maximum(left, right).sum(axis=2)
+        if self.bcfg.forbid_trivial_branch:
+            # padding slots hold no feature to move
+            to_right = np.where(self.slot_used, left - right, np.inf).min(axis=2)
+            to_left = np.where(self.slot_used, right - left, np.inf).min(axis=2)
+            best -= np.maximum(to_right, 0.0) + np.maximum(to_left, 0.0)
+            best[:, self.slot_used.sum(axis=1) < 2] = -np.inf
+        return best[..., None]
+
     def _group_tables(self, gains) -> np.ndarray:
         """``(len(gains), groups, floor + 1)`` best leaf-adjacent test of each group.
 
@@ -866,7 +900,8 @@ class _StructuredSearch:
         right leaf.  The state is [some feature went left, some went right],
         so a forbidden trivial test is only a rejected final state.  The
         count axis carries ``floor`` leading copies of its first entry, so
-        that a shift is a window into it.
+        that a shift is a window into it.  It serves every floor above 0, and
+        is the reference that tests hold the closed form to.
         """
         left_gain, right_gain, left_count, right_count = np.moveaxis(gains, 1, 0)
         pad = self.floor
@@ -920,7 +955,7 @@ class _StructuredSearch:
             for t, j in enumerate(self.schema.features_of(g)):
                 right = gains.copy()
                 right[0, 0, g, t] = -np.inf  # j may not go left
-                if self._group_tables(right)[0, g, key] == value:
+                if self._leaf_tables(right)[0, g, key] == value:
                     gains = right
                 else:
                     gains[0, 1, g, t] = -np.inf

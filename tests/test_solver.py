@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +28,7 @@ from grouptree.solver import (
     solve_lp,
     solve_milp,
 )
-from grouptree.topology import preset
+from grouptree.topology import PRESET_SHAPES, preset
 from grouptree.tree import evaluate
 from tests.conftest import random_dataset
 
@@ -360,6 +361,63 @@ def test_lp_engine_min_sense_integer_program():
     assert result.assignment["X"] + result.assignment["Y"] == 2.0
     with pytest.raises(TimeLimitNoIncumbentError):
         solve_milp(model, SolveConfig(node_limit=0), method="lp")
+
+
+def _rowless_mps(sense, columns):
+    """MPS text of a model with no rows: columns ``(cost, lower, upper, integer)``."""
+    lines = ["NAME          NOROWS", "OBJSENSE", f"    {sense.upper()}", "ROWS", " N  OBJ",
+             "COLUMNS"]
+    bounds = []
+    for j, (cost, lower, upper, integer) in enumerate(columns):
+        marker = "INTORG" if integer else "INTEND"
+        lines.append(f"    MARKER{j}   'MARKER'   '{marker}'")
+        lines.append(f"    X{j}   OBJ   {cost}")
+        bounds.append(f" LO BND   X{j}   {lower}")
+        if upper is not None:
+            bounds.append(f" UP BND   X{j}   {upper}")
+    return "\n".join(lines + ["BOUNDS"] + bounds + ["ENDATA", ""])
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_lp_engine_solves_a_model_without_rows(sense):
+    # With no rows each column sits at one of its bounds, an integer
+    # column's rounded inwards, so the optimum is the best corner of the box;
+    # a column without an upper bound that the objective pushes upwards makes
+    # the model unbounded.  A fractional upper bound on an integer column
+    # makes the LP engine branch: one child re-solves with the dual simplex,
+    # the other is left no range.
+    rng = random.Random(12)
+    cases = [[(1.0, 0, 3, True)], [(1.0, 0, None, False)], [(-1.0, 1, None, True)]]
+    for _ in range(12):
+        cases.append([])
+        for _ in range(rng.randint(1, 3)):
+            integer = rng.random() < 0.5
+            lower = rng.choice((0, 1) if integer else (0, 1, 1.5))
+            cost = rng.choice((-3.0, -1.5, 0.0, 1.0, 2.5))
+            cases[-1].append((cost, lower, lower + rng.choice((0, 1, 2.5, 4)), integer))
+    sign = 1.0 if sense == "max" else -1.0
+    for columns in cases:
+        model = parse_mps(_rowless_mps(sense, columns))
+        assert not model.constraints
+        value, _, lp_status = solve_lp(model)
+        result = solve_milp(model, method="lp")
+        if any(up is None and sign * cost > 0 for cost, _, up, _ in columns):
+            assert lp_status == result.status == UNBOUNDED
+            continue
+        # an unbounded column is best at its lower bound here
+        relaxed = [(lo, lo if up is None else up) for _, lo, up, _ in columns]
+        integral = [(math.ceil(lo), math.floor(up)) if integer else (lo, up)
+                    for (_, _, _, integer), (lo, up) in zip(columns, relaxed)]
+        for box, got in ((relaxed, value), (integral, result.objective)):
+            best = max(sign * sum(c * x for (c, _, _, _), x in zip(columns, point))
+                       for point in itertools.product(*box))
+            assert got == sign * best
+        assert lp_status == result.status == OPTIMAL
+        x = [result.assignment[f"X{j}"] for j in range(len(columns))]
+        assert sum(c * v for (c, _, _, _), v in zip(columns, x)) == result.objective
+        for (_, lo, up, integer), v in zip(columns, x):
+            assert lo <= v <= (np.inf if up is None else up)
+            assert not integer or v == round(v)
 
 
 def _general_integer_program(rng):
@@ -753,9 +811,10 @@ def test_wide_unanchored_search_is_optimal():
     ids=["accuracy", "floored"],
 )
 def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
-    # Leaf-adjacent tables served from the per-solve store are the kernel's
-    # own, for repeated and new masks alike, also when a tiny store (a few
-    # rows) is refilled on almost every batch.
+    # Leaf-adjacent tables served from the per-solve store are the
+    # knapsack's, which in accuracy mode is not the kernel the search runs,
+    # for repeated and new masks alike, also when a tiny store (a few rows)
+    # is refilled on almost every batch.
     if store_cells is not None:
         monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
     data = random_dataset(random.Random(3), 40, [3, 2, 4])
@@ -780,11 +839,38 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
         assert len(search.store_best) < len(seen)
 
 
+@pytest.mark.parametrize("forbid", [False, True], ids=["any-test", "forbid-trivial"])
+def test_closed_form_leaf_tables_match_the_knapsack(forbid):
+    # With no floor the leaf kernel is a closed form; its tables, their
+    # signs and the winning groups are the knapsack's bit for bit, also with
+    # a slot kept to one side by -inf, as the recovery does it.
+    rng = random.Random(13)
+    gen = np.random.default_rng(13)
+    for t in range(60):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        data = random_dataset(rng, rng.randrange(5, 40), sizes)
+        weight = (Fraction(1), Fraction(3, 2), Fraction(2, 5), Fraction(7))[t % 4]
+        cfg = BuildConfig(class_weight=weight, forbid_trivial_branch=forbid)
+        search = solver_mod._StructuredSearch(build_model(data, preset("depth2"), cfg),
+                                              SolveConfig())
+        assert search.floor == 0
+        gains = search._gains(gen.random((30, data.n_samples)) < gen.random((30, 1)))
+        for row in range(15):
+            g = rng.randrange(len(sizes))
+            gains[row, rng.randrange(2), g, rng.randrange(sizes[g])] = -np.inf
+        closed, knapsack = search._leaf_tables(gains), search._group_tables(gains)
+        assert closed.shape == knapsack.shape
+        assert np.array_equal(closed, knapsack)
+        assert np.array_equal(np.signbit(closed), np.signbit(knapsack))
+        assert np.array_equal(closed.argmax(axis=1), knapsack.argmax(axis=1))
+
+
 def _direct_tables(search, child, masks, options):
     """Test-local reference: a subtree's tables from their definition, mask by mask.
 
-    A branched node's entry ``u`` is the best ``left[t] + right[u - t]`` over
-    its options; its winner is the first option reaching it.
+    Leaf-adjacent tables come from the knapsack, in every mode.  A branched
+    node's entry ``u`` is the best ``left[t] + right[u - t]`` over its
+    options; its winner is the first option reaching it.
     """
     k = child[1]
     if k in search.topo.leaf_adjacent:
@@ -932,6 +1018,59 @@ def test_go_left_follows_its_definition():
     check([(2, ()), (1, (schema.features_of(1)[0],)), root[-1], anchored[0]])
 
 
+def _reference_dp_bound(search, zhi, allowed):
+    """Test-local reference: the DP bound's recursion, every node from its box."""
+
+    def scores(child):
+        kind, k = child
+        if kind == "leaf":
+            return search.leaf_scores[k % 2]
+        hl, hr = (scores(c) for c in search.topo.children[k])
+        lo, hi = np.zeros(search.n), np.ones(search.n)
+        if k in search.decl_pos:
+            node = allowed[search.decl_pos[k]]
+            surely = np.zeros(search.d, dtype=bool)
+            surely[[j for _, fixed, _ in node for j in fixed]] = True
+            lo = surely[search.fidx[[g for g, _, _ in node]]].all(axis=0).astype(float)
+            hi = np.max(zhi[search.decl_pos[k]][search.fidx], axis=0).astype(float)
+        best = None
+        for cand in (lo, hi, np.clip(hl, lo, hi), np.clip(1.0 - hr, lo, hi)):
+            val = np.minimum(cand, hl) + np.minimum(1.0 - cand, hr)
+            best = val if best is None else np.maximum(best, val)
+        return best
+
+    h = np.minimum(scores(("node", search.topo.root)), 1.0)
+    return float(np.dot(search.sample_w, h))
+
+
+@pytest.mark.parametrize("shape", ["depth2", "depth3", "imbalanced", "(# #)"])
+def test_dp_bound_matches_its_recursion(shape):
+    # The leaf-adjacent scores, computed once per solve, give the bound of
+    # the recursion that derives every node's scores from the box.
+    from grouptree.topology import parse_shape
+
+    topo = preset(shape) if shape in PRESET_SHAPES else parse_shape(shape)
+    rng = random.Random(14)
+    gen = np.random.default_rng(14)
+    checked = 0
+    for t in range(12):
+        data = random_dataset(rng, rng.randrange(8, 30), [rng.randint(1, 4) for _ in range(3)])
+        cfg = (BuildConfig(class_weight=Fraction(3, 2)), BuildConfig(anchor=False),
+               BuildConfig(mode="max_specificity", min_sensitivity=Fraction(1, 2)))[t % 3]
+        search = solver_mod._StructuredSearch(build_model(data, topo, cfg), SolveConfig())
+        with pytest.raises(ValueError):
+            search.leaf_adjacent_scores[0] = 1.0
+        for _ in range(8):
+            zlo = (gen.random((search.n_decl, search.d)) < 0.05).astype(np.int8)
+            zhi = np.maximum(zlo, gen.random(zlo.shape) < 0.7).astype(np.int8)
+            allowed = search._allowed(zlo, zhi)
+            if allowed is None:
+                continue
+            assert search._dp_bound(zhi, allowed) == _reference_dp_bound(search, zhi, allowed)
+            checked += 1
+    assert checked >= 40
+
+
 def test_structured_search_is_pinned(monkeypatch):
     # Exact figures of the structured engine: any change to propagation, the
     # bound, the closure count or the branching order shows up here before it
@@ -980,3 +1119,22 @@ def _check_pinned_figures(monkeypatch, store_cells):
     expected = [(k, None, 12.0) for k in bounded] + [(20, 9.0, 12.0)]
     assert [(r["node"], r["incumbent"], r["bound"]) for r in records] == expected
     assert all(set(r) == {"node", "incumbent", "bound", "time"} for r in records)
+
+
+def test_constrained_clinic_solve_is_pinned():
+    # The floored side of the leaf kernel (the knapsack) on the clinic
+    # sweep's reference input: depth2, specificity floor 0.95, split 2.
+    import hashlib
+
+    from grouptree.datasets import synthetic_clinic
+    from grouptree.encoding import build_schema, encode
+    from grouptree.experiments import protocol_split
+
+    table = synthetic_clinic()
+    data = encode(table, build_schema(table))
+    train = data.subset(protocol_split(data.n_samples, 2)[0])
+    cfg = BuildConfig(mode="max_sensitivity", min_specificity=Fraction("0.95"))
+    result = solve_milp(build_model(train, preset("depth2"), cfg))
+    assert (result.status, result.objective) == (OPTIMAL, 326.0)
+    tree = extract_tree(result, preset("depth2"), train.schema)
+    assert hashlib.sha256(tree.to_json().encode()).hexdigest().startswith("7f07a172ac93fbb5")
