@@ -118,14 +118,6 @@ class EncodedDataset:
     def n_features(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def positive_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == 1)
-
-    @property
-    def negative_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == -1)
-
     def subset(self, indices) -> "EncodedDataset":
         idx = np.asarray(indices, dtype=int)
         return EncodedDataset(
@@ -233,7 +225,7 @@ def parse_table(
     """
     if format == "csv":
         header, cells = _read_csv(text)
-    elif format in ("monks", "monks-space-separated"):
+    elif format == "monks":
         header, cells = _read_monks(text)
         if label_column is None:
             label_column = 0

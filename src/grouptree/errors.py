@@ -69,10 +69,6 @@ class InfeasibleError(GroupTreeError):
     """The problem has no feasible solution."""
 
 
-class UnboundedError(GroupTreeError):
-    """The objective can be improved without limit."""
-
-
 class NumericalFailureError(GroupTreeError):
     """Pivoting tolerances broke down."""
 

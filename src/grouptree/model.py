@@ -17,7 +17,7 @@ are 0-based (schema/dataset ids).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -119,7 +119,6 @@ class MilpModel:
     variables: list[Variable]
     constraints: list[Constraint]
     objective: tuple[tuple[str, float], ...]
-    metadata: dict = field(default_factory=dict)
     structure: ModelStructure | None = None
 
     def variable_index(self) -> dict[str, int]:
@@ -315,21 +314,12 @@ def build_model(
         constraints.append(Constraint("SPEC", pos_terms, ">=", float(floor)))
         objective = tuple((name, 1.0) for name in neg_names)
 
-    metadata = {
-        "topology": topology.name,
-        "shape": topology.shape_text(),
-        "n_samples": n,
-        "n_features": d,
-        "n_groups": schema.n_groups,
-        "config": config.as_dict(),
-    }
     return MilpModel(
         name=f"GT_{topology.name}_N{n}_d{d}",
         sense="max",
         variables=variables,
         constraints=constraints,
         objective=objective,
-        metadata=metadata,
         structure=ModelStructure(data=data, topology=topology, config=config),
     )
 

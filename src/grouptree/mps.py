@@ -275,7 +275,6 @@ def parse_mps(text: str) -> MilpModel:
         variables=variables,
         constraints=constraints,
         objective=tuple(obj_coeffs),
-        metadata={"source": "mps"},
     )
 
 

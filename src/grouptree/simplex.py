@@ -105,8 +105,14 @@ class BoundedSimplex:
         self._load_objective()
         return self._primal()
 
-    def resolve_dual(self) -> str:
-        """Re-optimize after bound updates, starting from the current basis."""
+    def resolve_dual(self, lower, upper) -> str:
+        """Re-optimize under the structural box ``[lower, upper]`` from the current basis.
+
+        Each nonbasic column moves to its bound in the new box before the
+        dual simplex restores the basic rows.
+        """
+        self.lower[: self.n_struct] = lower
+        self.upper[: self.n_struct] = upper
         kind = self.status_col
         kind[(kind == AT_UP) & ~np.isfinite(self.upper)] = AT_LO
         at_lo = kind == AT_LO
@@ -118,10 +124,6 @@ class BoundedSimplex:
         if status == OPTIMAL:
             return self._primal()  # mop up any dual-tolerance slack
         return status
-
-    def set_bounds(self, j: int, lo: float, up: float) -> None:
-        self.lower[j] = lo
-        self.upper[j] = up
 
     def solution(self) -> np.ndarray:
         x = self.value.copy()

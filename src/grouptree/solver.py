@@ -133,6 +133,7 @@ def solve_lp(model: MilpModel):
     value = float(obj @ x)
     if model.sense == "min":
         value = -value
+    value += 0.0  # an optimum of 0 reads 0.0, not -0.0
     assignment = {v.name: float(x[j]) for j, v in enumerate(model.variables)}
     return value, assignment, OPTIMAL
 
@@ -269,10 +270,11 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
     bound = best
     if hit_limit:
         bound = max(best, max(-b for b, _, _ in heap))
+    # + 0.0: a minimum of 0 reads 0.0, not -0.0
     return SolveResult(
         FEASIBLE_TIME_LIMIT if hit_limit else OPTIMAL,
-        engine.sign * best,
-        engine.sign * bound,
+        engine.sign * best + 0.0,
+        engine.sign * bound + 0.0,
         engine.assignment(best_at),
         nodes,
         engine.iterations,
@@ -315,49 +317,38 @@ class _LpBranchAndBound:
         self.sign = -1.0 if model.sense == "min" else 1.0
         self.iterations = 0  # pivots spent so far
         self._hot = None
-        self._hot_patch = {}
 
     def run(self) -> SolveResult:
         return _best_first(self, {}, np.inf)
 
     def _node_lp(self, patch):
-        """Re-optimize the shared simplex under a node's bound patch.
+        """Re-optimize the shared simplex over a node's box: the root's, patched.
 
         The basis stays dual-feasible across bound changes, so a dual restart
-        usually suffices; numerical trouble falls back to a fresh solve.
-        Returns (solver, status, iterations spent on this node).
+        usually suffices; numerical trouble falls back to a fresh solve of the
+        same box.  Returns (solver, status, iterations spent on this node).
         """
-        A, senses, rhs, obj, lower0, upper0 = self.arrays
-
-        def fresh():
-            solver = BoundedSimplex(A, senses, rhs, obj, lower0.copy(), upper0.copy())
-            for j, (lo, up) in patch.items():
-                solver.set_bounds(j, lo, up)
-            status = solver.solve()
-            # only a clean phase-2 end leaves re-optimizable costs behind
-            self._hot = solver if status == simplex.OPTIMAL else None
-            self._hot_patch = dict(patch)
-            return solver, status, solver.iterations
-
-        if self._hot is None:
-            return fresh()
-        solver = self._hot
-        for j in self._hot_patch:
-            if j not in patch:
-                solver.set_bounds(j, lower0[j], upper0[j])
+        A, senses, rhs, obj, lower, upper = self.arrays
+        lower, upper = lower.copy(), upper.copy()
         for j, (lo, up) in patch.items():
-            solver.set_bounds(j, lo, up)
-        self._hot_patch = dict(patch)
-        before = solver.iterations
-        try:
-            status = solver.resolve_dual()
-        except NumericalFailureError:
-            failed = solver.iterations - before  # pivots spent before the failure
-            solver, status, spent = fresh()
-            return solver, status, failed + spent
-        if status == simplex.UNBOUNDED:
-            self._hot = None
-        return solver, status, solver.iterations - before
+            lower[j], upper[j] = lo, up
+        failed = 0  # pivots of a failed re-solve
+        if self._hot is not None:
+            solver = self._hot
+            before = solver.iterations
+            try:
+                status = solver.resolve_dual(lower, upper)
+            except NumericalFailureError:
+                failed = solver.iterations - before
+            else:
+                if status == simplex.UNBOUNDED:
+                    self._hot = None
+                return solver, status, solver.iterations - before
+        solver = BoundedSimplex(A, senses, rhs, obj, lower, upper)
+        status = solver.solve()
+        # only a clean phase-2 end leaves re-optimizable costs behind
+        self._hot = solver if status == simplex.OPTIMAL else None
+        return solver, status, failed + solver.iterations
 
     def bound(self, patch, parent_bound):
         """The node LP's value, capped at the parent's bound."""
@@ -427,11 +418,12 @@ class _StructuredSearch:
     from a knapsack over the features (``_group_tables``), or in closed form
     when the floor is 0 (``_leaf_tables``).  A branched node sends the child
     sample sets of all of its tests through its children as one batch and
-    merges their tables (``_merge``).  Every subtree but the root's is served
-    from one per-solve store (``_stored``), keyed by the routed set and, at a
-    branched node, by the box rows that fix its subtree's tests, so each
-    distinct table is computed once per solve.  The winning tests are
-    recovered afterwards along the winning path (``_recover``).
+    merges their tables (``_merge``).  Every subtree's tables, the root's
+    included, are served from one per-solve store (``_stored``), keyed by the
+    routed set and, at a branched node, by the box rows that fix its
+    subtree's tests, so each distinct table is computed once per solve.  The
+    winning tests are recovered afterwards along the winning path
+    (``_recover``).
     """
 
     sign = 1.0  # built models maximise
@@ -525,14 +517,12 @@ class _StructuredSearch:
         self.leaf_rows = max(
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
-        # per non-root branched node, the positions of the branched nodes in
-        # its subtree: their box rows fix the subtree's options
-        self.subtree_rows = {
-            k: self._subtree_rows(k) for k in self.decl if k != self.topo.root
-        }
+        # per branched node, the positions of the branched nodes in its
+        # subtree: their box rows fix the subtree's options
+        self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl}
         # subtree tables of the masks routed so far: signature + packed mask
-        # -> row.  A winner is a group, or an option of a non-root branched
-        # node, which allows at most max(budget, groups) of them.
+        # -> row.  A winner is a group, or an option of a branched node, the
+        # root's included, which allows at most max(budget, groups) of them.
         self.store_index: dict[bytes, int] = {}
         self.store_best = np.empty((0, self.floor + 1))
         most = max(self.n_groups, self.enum_budget if self.subtree_rows else 0)
@@ -570,11 +560,11 @@ class _StructuredSearch:
         if bit is None:
             # the best scaled objective meeting the floor (-inf if none), and
             # the first root test (or group, for a one-node tree) reaching it
-            # each branched node's tests, and the signatures that key the
-            # stored tables of the non-root ones
+            # each branched node's tests, and the signatures that key their
+            # stored tables
             closure = [self._options(node) for node in allowed], self._signatures(zlo, zhi)
             everyone = np.ones((1, self.n), dtype=bool)
-            tables, winners = self._tables(("node", self.topo.root), everyone, closure)
+            tables, winners = self._stored(self.topo.root, everyone, closure)
             value, winner = float(tables[0, self.floor]), int(winners[0, self.floor])
             # the loop compares objectives; _recover wants the scaled value
             return value / self.scale, (value, winner, closure), ()
@@ -676,7 +666,7 @@ class _StructuredSearch:
         return np.array(sorted(rows), dtype=np.int64)
 
     def _signatures(self, zlo, zhi) -> dict[int, bytes]:
-        """Per non-root branched node: its id and its subtree's propagated box rows.
+        """Per branched node: its id and its subtree's propagated box rows.
 
         Those rows fix the options of every branched node in the subtree
         (``_allowed`` reads a node's own rows only, and propagating them again
@@ -732,29 +722,19 @@ class _StructuredSearch:
     # A table holds, for ``t = 0 .. floor``, the best scaled objective of a
     # subtree with at least ``t`` floored-class samples correct.
 
-    def _tables(self, child, masks, closure):
-        """``(len(masks), floor + 1)`` tables of the subtree, one per routed mask.
+    def _stored(self, k, masks, closure):
+        """Node ``k``'s tables, one per routed mask, each computed once per solve.
 
         Also returns, per entry, the first option (or group, at a
         leaf-adjacent node) that reaches it.  ``closure`` holds each branched
-        node's options and each non-root branched node's signature.  The
-        root's tables are computed directly, since a closure routes only the
-        all-samples mask there; every other subtree's come from the store.
-        """
-        k = child[1]
-        if k == self.topo.root:
-            return self._computed(k, masks, closure)
-        return self._stored(k, masks, closure)
-
-    def _stored(self, k, masks, closure):
-        """Node ``k``'s tables, each (signature, mask) computed once per solve.
-
-        A non-root table depends only on the routed mask, on what fixes the
-        options in the subtree, and on the mode and the floor, which are
-        fixed for the solve.  A leaf-adjacent node's test is never branched
-        and its children are leaves, so its signature is empty and its table
-        is shared by every leaf-adjacent node; a branched node's signature is
-        its closure's (``_signatures``).  A row's winner does not depend on
+        node's options and signature.  A table depends only on the routed
+        mask, on what fixes the options in the subtree, and on the mode and
+        the floor, which are fixed for the solve.  A leaf-adjacent node's
+        test is never branched and its children are leaves, so its signature
+        is empty and its table is shared by every leaf-adjacent node, a
+        stump's root included; a branched node's signature is its closure's
+        (``_signatures``), so the root's rows, which keep only the floor
+        entry, are read by no other node.  A row's winner does not depend on
         the other masks of its batch, so one store serves every closure of a
         solve and the recovery.  It grows geometrically up to
         ``store_capacity`` rows; a batch that overfills it starts it afresh.
@@ -798,7 +778,7 @@ class _StructuredSearch:
         return self.store_best[rows], self.store_winners[rows]
 
     def _computed(self, k, masks, closure):
-        """Node ``k``'s tables computed here; its children's come from ``_tables``.
+        """Node ``k``'s tables computed here; its children's come from ``_stored``.
 
         A leaf-adjacent node runs the leaf kernel in ``leaf_rows`` chunks.  A
         branched node sends the child masks of a chunk of its options through
@@ -825,8 +805,8 @@ class _StructuredSearch:
             left = (masks[:, None] & go).reshape(-1, self.n)
             right = (masks[:, None] & ~go).reshape(-1, self.n)
             merged = self._merge(
-                self._tables(left_child, left, closure)[0],
-                self._tables(right_child, right, closure)[0],
+                self._stored(left_child[1], left, closure)[0],
+                self._stored(right_child[1], right, closure)[0],
                 keep,
             ).reshape(len(masks), len(go), -1)
             chunk_best = merged.max(axis=1)
@@ -931,8 +911,6 @@ class _StructuredSearch:
 
         Entry ``t`` takes entry ``max(t - count, 0)``.
         """
-        if self.floor == 0:
-            return padded  # nothing is counted towards a floor
         windows = sliding_window_view(padded, self.floor + 1, axis=-1)
         b, g, x = np.ogrid[: len(padded), : self.n_groups, :2]
         start = self.floor - np.minimum(counts, self.floor).astype(np.int64)
@@ -966,8 +944,8 @@ class _StructuredSearch:
         go = self._go_left([tests[k]])[0]
         left_child, right_child = self.topo.children[k]
         left_mask, right_mask = mask & go, mask & ~go
-        left, left_win = self._tables(left_child, left_mask[None], closure)
-        right, right_win = self._tables(right_child, right_mask[None], closure)
+        left, left_win = self._stored(left_child[1], left_mask[None], closure)
+        right, right_win = self._stored(right_child[1], right_mask[None], closure)
         t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
         u = key - t
         self._recover(left_child, left_mask, t, left[0, t], int(left_win[0, t]),

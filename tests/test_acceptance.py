@@ -120,9 +120,13 @@ def test_criterion_4_relaxed_solutions_integral():
         result = solve_milp(build_checked(data, topo), FAST_SOLVE)
         _assert_integral(result.assignment, topo, data.schema)
     # the LP engine must produce integral vertices as well
+    lp_work = []
     for data, topo in POOL[:6]:
         result = solve_milp(build_checked(data, topo), FAST_SOLVE, method="lp")
         _assert_integral(result.assignment, topo, data.schema)
+        lp_work.append((result.nodes_processed, result.lp_iterations))
+    # its search on tableaux of up to 300 rows, node for node and pivot for pivot
+    assert lp_work == [(7, 335), (271, 14445), (11, 578), (335, 59500), (11, 296), (71, 2375)]
     print("\nACCEPTANCE 4 PASS - relaxed variables land on 0/1 in every solution")
 
 

@@ -97,8 +97,7 @@ def test_dual_resolve_after_bound_change():
     status, s = solve(A, ["<=", "<="], [2, 2], [2, 3, 1], [0, 0, 0], [2, 2, 2])
     assert status == OPTIMAL
     base = s.objective_value()
-    s.set_bounds(1, 0.0, 0.0)  # forbid the most valuable variable
-    status2 = s.resolve_dual()
+    status2 = s.resolve_dual([0, 0, 0], [2, 0, 2])  # forbid the most valuable variable
     assert status2 == OPTIMAL
     assert s.objective_value() <= base
     # compare against a fresh solve with the same bounds
@@ -109,9 +108,7 @@ def test_dual_resolve_after_bound_change():
 def test_dual_resolve_to_infeasible():
     status, s = solve([[1, 1]], ["="], [1], [1, 1], [0, 0], [1, 1])
     assert status == OPTIMAL
-    s.set_bounds(0, 0.0, 0.3)
-    s.set_bounds(1, 0.0, 0.3)
-    assert s.resolve_dual() == INFEASIBLE
+    assert s.resolve_dual([0, 0], [0.3, 0.3]) == INFEASIBLE
 
 
 def test_deterministic_pivoting():
@@ -321,9 +318,9 @@ def _random_lp(rng):
     return A, [str(x) for x in senses], rhs, obj, lower, upper
 
 
-def _outcome(s, method):
+def _outcome(s, method, *args):
     try:
-        return getattr(s, method)()
+        return getattr(s, method)(*args)
     except NumericalFailureError as exc:
         return str(exc)
 
@@ -357,11 +354,13 @@ def test_loops_match_reference(bland):
                 break
             j = int(rng.integers(s.n_struct))
             x = s.solution()[j]
-            lo, up = (s.lower[j], floor(x)) if rng.random() < 0.5 else (ceil(x), s.upper[j])
-            s.set_bounds(j, lo, up)
-            ref.set_bounds(j, lo, up)
-            status = _outcome(s, "resolve_dual")
-            assert _outcome(ref, "resolve_dual") == status
+            lower, upper = s.lower[: s.n_struct].copy(), s.upper[: s.n_struct].copy()
+            if rng.random() < 0.5:
+                upper[j] = floor(x)
+            else:
+                lower[j] = ceil(x)
+            status = _outcome(s, "resolve_dual", lower, upper)
+            assert _outcome(ref, "resolve_dual", lower, upper) == status
             _assert_same_state(s, ref)
             statuses.add(status)
         flips += ref.flips
@@ -387,8 +386,7 @@ def test_primal_iteration_limit_is_per_call():
     status, s = solve(A, ["<=", "<="], [2, 2], [2, 3, 1], [0, 0, 0], [2, 2, 2])
     assert status == OPTIMAL
     s.iterations = 20000 + 200 * (s.m + s.n_total)
-    s.set_bounds(1, 0.0, 0.0)
-    assert s.resolve_dual() == OPTIMAL
+    assert s.resolve_dual([0, 0, 0], [2, 0, 2]) == OPTIMAL
     assert s.objective_value() == pytest.approx(6.0)
 
 

@@ -412,6 +412,8 @@ def test_lp_engine_solves_a_model_without_rows(sense):
             best = max(sign * sum(c * x for (c, _, _, _), x in zip(columns, point))
                        for point in itertools.product(*box))
             assert got == sign * best
+        for got in (value, result.objective, result.best_bound):
+            assert got != 0.0 or math.copysign(1.0, got) == 1.0  # 0.0, not -0.0
         assert lp_status == result.status == OPTIMAL
         x = [result.assignment[f"X{j}"] for j in range(len(columns))]
         assert sum(c * v for (c, _, _, _), v in zip(columns, x)) == result.objective
@@ -492,9 +494,9 @@ def test_failed_resolve_pivots_are_counted(rng, monkeypatch):
     spent = {"resolve": 0, "fresh": 0}
     resolve_dual, solve = BoundedSimplex.resolve_dual, BoundedSimplex.solve
 
-    def failing_resolve(self):
+    def failing_resolve(self, lower, upper):
         before = self.iterations
-        resolve_dual(self)
+        resolve_dual(self, lower, upper)
         spent["resolve"] += self.iterations - before
         raise NumericalFailureError("forced")
 
@@ -510,6 +512,41 @@ def test_failed_resolve_pivots_are_counted(rng, monkeypatch):
     assert result.status == OPTIMAL
     assert result.nodes_processed > 1 and spent["resolve"] > 0
     assert result.lp_iterations == spent["fresh"] + spent["resolve"]
+
+
+def test_failed_resolves_fall_back_to_the_node_box(monkeypatch):
+    # Every dual re-solve fails, so each node after the root is solved fresh.
+    # That solve must keep to the node's own box, raised lower bounds
+    # included, or the search prunes and accepts on a wrong relaxation.
+    resolve_dual, bound = BoundedSimplex.resolve_dual, solver_mod._LpBranchAndBound.bound
+    outside = []
+
+    def failing_resolve(self, lower, upper):
+        resolve_dual(self, lower, upper)
+        raise NumericalFailureError("forced")
+
+    def checked_bound(self, patch, parent_bound):
+        bounded = bound(self, patch, parent_bound)
+        if bounded is not None and bounded[2] is not None:
+            x = bounded[2][1]
+            lower, upper = self.lower0.copy(), self.upper0.copy()
+            for j, (lo, up) in patch.items():
+                lower[j], upper[j] = lo, up
+            if np.any(x < lower - 1e-6) or np.any(x > upper + 1e-6):
+                outside.append(patch)
+        return bounded
+
+    monkeypatch.setattr(BoundedSimplex, "resolve_dual", failing_resolve)
+    monkeypatch.setattr(solver_mod._LpBranchAndBound, "bound", checked_bound)
+    rng = random.Random(3)
+    topo = preset("depth2")
+    for _ in range(6):
+        data = random_dataset(rng, rng.randrange(10, 18), [2, 3])
+        expected, _ = enumerate_optimal(data, topo)
+        result = solve_milp(build_model(data, topo), method="lp")
+        assert result.status == OPTIMAL
+        assert result.objective == pytest.approx(float(expected), abs=1e-7)
+    assert not outside
 
 
 def test_parsed_model_solves_identically(rng):
@@ -821,7 +858,7 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
     search = solver_mod._StructuredSearch(
         build_model(data, preset("depth2"), cfg), SolveConfig()
     )
-    leaf = ("node", min(search.topo.leaf_adjacent))
+    leaf = min(search.topo.leaf_adjacent)
     gen = np.random.default_rng(3)
     pool = np.vstack([np.zeros((1, 40), bool), np.ones((1, 40), bool),
                       gen.random((10, 40)) < 0.5])
@@ -829,7 +866,7 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
     for _ in range(8):
         masks = np.vstack([pool[gen.integers(0, len(pool), 25)], gen.random((3, 40)) < 0.5])
         seen.update(row.tobytes() for row in masks)
-        best, winners = search._tables(leaf, masks, None)
+        best, winners = search._stored(leaf, masks, None)
         tables = search._group_tables(search._gains(masks))
         assert np.array_equal(best, tables.max(axis=1))
         assert np.array_equal(winners, tables.argmax(axis=1))
@@ -927,17 +964,20 @@ def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg)
         allowed = search._allowed(zlo, zhi)
         options = [search._options(node) for node in allowed]
         closures.append((options, search._signatures(zlo, zhi)))
-    assert all(closures[0][1][k] != closures[1][1][k] for k in search.subtree_rows)
+    # the root keeps only its floor entry, so only the others are compared
+    # with the reference
+    below_root = [k for k in search.subtree_rows if k != search.topo.root]
+    assert all(closures[0][1][k] != closures[1][1][k] for k in below_root)
     gen = np.random.default_rng(4)
     pool = np.vstack([np.ones((1, n), bool), gen.random((6, n)) < 0.6])
-    seen = {k: set() for k in search.subtree_rows}  # the store keys fed to each node
+    seen = {k: set() for k in below_root}  # the store keys fed to each node
     for batch in range(9):
         masks = np.vstack([pool[gen.integers(0, len(pool), 7)], gen.random((2, n)) < 0.6])
         closure = closures[batch % 3]
-        for k in search.subtree_rows:
+        for k in below_root:
             sig = closure[1][k]
             seen[k].update(sig + np.packbits(row).tobytes() for row in masks)
-            best, winners = search._tables(("node", k), masks, closure)
+            best, winners = search._stored(k, masks, closure)
             expected_best, expected_winners = _direct_tables(
                 search, ("node", k), masks, closure[0]
             )
@@ -987,7 +1027,7 @@ def test_go_left_follows_its_definition():
     # g is in the subset.  Checked on whole option lists spanning several
     # groups, with the all-right test (unanchored root) and fixed anchors
     # (anchored node 2), after a bit pins a group, and on the slices that
-    # _tables passes.
+    # _computed passes.
     data = random_dataset(random.Random(5), 30, [3, 1, 2, 4])
     search = solver_mod._StructuredSearch(build_model(data, preset("depth2_5")), SolveConfig())
     schema = data.schema
