@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--label-col", default=None,
                        help="label column name or index (default: last CSV column)")
         p.add_argument("--label-positive", default=None,
-                       help="raw label value mapped to +1 (default: lexicographically larger)")
+                       help="raw label value mapped to +1 (default: -1, 1 and +1 by "
+                            "value, else the lexicographically larger)")
         p.add_argument("--simple-branching", action="store_true",
                        help="restrict tests to single original bits via (bit, complement) groups")
 

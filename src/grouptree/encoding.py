@@ -220,8 +220,9 @@ def parse_table(
     expects whitespace-separated integer attributes with the label first and a
     trailing identifier field that is ignored.
 
-    Labels are mapped to ±1.  With two raw label values, ``positive_label``
-    picks +1 explicitly; otherwise the lexicographically larger value is +1.
+    Labels are mapped to ±1.  ``positive_label``, when given, is the raw
+    value mapped to +1.  Otherwise values among ``-1``, ``1`` and ``+1`` map
+    by value, and of any other two the lexicographically larger is +1.
     """
     if format == "csv":
         header, cells = _read_csv(text)
@@ -349,14 +350,14 @@ def _map_labels(raw_labels: list[str], positive_label: str | None) -> tuple[int,
         raise NonBinaryLabelError(
             f"label column has {len(distinct)} distinct values: {distinct[:5]}..."
         )
-    if distinct in (["-1", "1"], ["-1", "+1"]):
-        return tuple(1 if v in ("1", "+1") else -1 for v in raw_labels)
     if positive_label is not None:
         if positive_label not in distinct:
             raise NonBinaryLabelError(
                 f"positive label {positive_label!r} not among {distinct}"
             )
         return tuple(1 if v == positive_label else -1 for v in raw_labels)
+    if set(distinct) <= {"-1", "1", "+1"}:
+        return tuple(-1 if v == "-1" else 1 for v in raw_labels)
     positive = distinct[-1]  # lexicographically larger value maps to +1
     return tuple(1 if v == positive else -1 for v in raw_labels)
 

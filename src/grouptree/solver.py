@@ -38,6 +38,7 @@ from . import simplex
 from .encoding import GroupSchema
 from .errors import (
     FractionalSelectionError,
+    InvalidConfigError,
     NumericalFailureError,
     TimeLimitNoIncumbentError,
 )
@@ -73,6 +74,15 @@ class SolveConfig:
     node_limit: int | None = None
     log_progress: bool = False
     callback: object = None  # callable(dict) per processed node
+
+    def __post_init__(self):
+        # not ``< 0``: a NaN limit compares false with every elapsed time
+        seconds, nodes = self.time_limit, self.node_limit
+        if not (seconds >= 0 and (nodes is None or isinstance(nodes, int) and nodes >= 0)):
+            raise InvalidConfigError(
+                f"time_limit must be >= 0 and node_limit None or an integer >= 0, "
+                f"got {seconds!r} and {nodes!r}"
+            )
 
 
 @dataclass
@@ -144,15 +154,13 @@ def solve_milp(
     """Solve the integer program to proven optimality (or best within limits).
 
     ``method`` picks the engine: ``auto`` uses the structured search whenever
-    the model carries its build structure, ``lp`` forces the generic LP-based
-    branch and bound, ``structured`` requires the structure.
+    the model carries its build structure, and the generic LP-based branch
+    and bound otherwise; ``lp`` forces the latter.
     """
     config = config or SolveConfig()
-    if method not in ("auto", "structured", "lp"):
+    if method not in ("auto", "lp"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "structured" and model.structure is None:
-        raise ValueError("model has no build structure attached")
-    if model.structure is not None and method in ("auto", "structured"):
+    if model.structure is not None and method == "auto":
         return _StructuredSearch(model, config).run()
     return _LpBranchAndBound(model, config).run()
 
@@ -418,12 +426,13 @@ class _StructuredSearch:
     from a knapsack over the features (``_group_tables``), or in closed form
     when the floor is 0 (``_leaf_tables``).  A branched node sends the child
     sample sets of all of its tests through its children as one batch and
-    merges their tables (``_merge``).  Every subtree's tables, the root's
-    included, are served from one per-solve store (``_stored``), keyed by the
+    merges their tables (``_merge``).  Every subtree's tables but the root's
+    are served from one per-solve store of tables (``_stored``), keyed by the
     routed set and, at a branched node, by the box rows that fix its
     subtree's tests, so each distinct table is computed once per solve.  The
-    winning tests are recovered afterwards along the winning path
-    (``_recover``).
+    root's table is computed directly: no other closure has its box.  The
+    winning tests are recovered afterwards along the winning path, where each
+    node's winner is computed again for its one routed set (``_recover``).
     """
 
     sign = 1.0  # built models maximise
@@ -517,18 +526,12 @@ class _StructuredSearch:
         self.leaf_rows = max(
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
-        # per branched node, the positions of the branched nodes in its
-        # subtree: their box rows fix the subtree's options
-        self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl}
-        # subtree tables of the masks routed so far: signature + packed mask
-        # -> row.  A winner is a group, or an option of a branched node, the
-        # root's included, which allows at most max(budget, groups) of them.
+        # per branched node below the root, the positions of the branched
+        # nodes in its subtree: their box rows fix the subtree's options
+        self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl if k != self.topo.root}
+        # subtree tables of the masks routed so far: signature + packed mask -> row
         self.store_index: dict[bytes, int] = {}
         self.store_best = np.empty((0, self.floor + 1))
-        most = max(self.n_groups, self.enum_budget if self.subtree_rows else 0)
-        self.store_winners = np.empty(
-            self.store_best.shape, dtype=np.min_scalar_type(max(most - 1, 0))
-        )
         row_cells = self.floor + 1 + (self.n + 7) // 8
         self.store_capacity = max(1, _TABLE_STORE_CELLS // row_cells)
 
@@ -558,16 +561,14 @@ class _StructuredSearch:
         count = prod(sum(1 << len(free) for _, _, free in node) for node in allowed)
         bit = self._branch_bit(zlo, zhi) if count > self.enum_budget else None
         if bit is None:
-            # the best scaled objective meeting the floor (-inf if none), and
-            # the first root test (or group, for a one-node tree) reaching it
             # each branched node's tests, and the signatures that key their
             # stored tables
             closure = [self._options(node) for node in allowed], self._signatures(zlo, zhi)
             everyone = np.ones((1, self.n), dtype=bool)
-            tables, winners = self._stored(self.topo.root, everyone, closure)
-            value, winner = float(tables[0, self.floor]), int(winners[0, self.floor])
+            # the best scaled objective meeting the floor (-inf if none)
+            value = float(self._computed(self.topo.root, everyone, closure)[0][0, self.floor])
             # the loop compares objectives; _recover wants the scaled value
-            return value / self.scale, (value, winner, closure), ()
+            return value / self.scale, (value, closure), ()
         p_star, j_star = bit
         child_hi = zhi.copy()
         child_hi[p_star, j_star] = 0
@@ -577,11 +578,11 @@ class _StructuredSearch:
 
     def assignment(self, solution) -> dict[str, float]:
         """The winning closure's tests, recovered and written as an assignment."""
-        value, winner, closure = solution
+        value, closure = solution
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
         root = ("node", self.topo.root)
-        self._recover(root, everyone, self.floor, value, winner, closure, tests)
+        self._recover(root, everyone, self.floor, value, closure, tests)
         return self._assignment_from_tests(tests)
 
     def _branch_bit(self, zlo, zhi):
@@ -666,7 +667,7 @@ class _StructuredSearch:
         return np.array(sorted(rows), dtype=np.int64)
 
     def _signatures(self, zlo, zhi) -> dict[int, bytes]:
-        """Per branched node: its id and its subtree's propagated box rows.
+        """Per branched node below the root: its id and its subtree's box rows.
 
         Those rows fix the options of every branched node in the subtree
         (``_allowed`` reads a node's own rows only, and propagating them again
@@ -725,19 +726,17 @@ class _StructuredSearch:
     def _stored(self, k, masks, closure):
         """Node ``k``'s tables, one per routed mask, each computed once per solve.
 
-        Also returns, per entry, the first option (or group, at a
-        leaf-adjacent node) that reaches it.  ``closure`` holds each branched
-        node's options and signature.  A table depends only on the routed
-        mask, on what fixes the options in the subtree, and on the mode and
-        the floor, which are fixed for the solve.  A leaf-adjacent node's
-        test is never branched and its children are leaves, so its signature
-        is empty and its table is shared by every leaf-adjacent node, a
-        stump's root included; a branched node's signature is its closure's
-        (``_signatures``), so the root's rows, which keep only the floor
-        entry, are read by no other node.  A row's winner does not depend on
-        the other masks of its batch, so one store serves every closure of a
-        solve and the recovery.  It grows geometrically up to
-        ``store_capacity`` rows; a batch that overfills it starts it afresh.
+        ``k`` is any node but a branched root, whose table ``split`` computes
+        directly.  ``closure`` holds each branched node's options and
+        signature.  A table depends only on the routed mask, on what fixes
+        the options in the subtree, and on the mode and the floor, which are
+        fixed for the solve.  A leaf-adjacent node's test is never branched
+        and its children are leaves, so its signature is empty and its table
+        is shared by every leaf-adjacent node; a branched node's signature is
+        its closure's (``_signatures``).  A row does not depend on the other
+        masks of its batch, so one store serves every closure of a solve and
+        the recovery.  It grows geometrically up to ``store_capacity`` rows;
+        a batch that overfills it starts it afresh.
         """
         packed = np.packbits(masks, axis=1)
         keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
@@ -753,37 +752,34 @@ class _StructuredSearch:
             # rows recurse into the store, which may clear it meanwhile
             old = [key for key in first if key in index]
             at = np.fromiter(map(index.__getitem__, old), np.int64, len(old))
-            old_best, old_winners = self.store_best[at], self.store_winners[at]
+            old_best = self.store_best[at]
             fresh = np.fromiter(map(first.__getitem__, new), np.int64, len(new))
-            best, winners = self._computed(k, masks[fresh], closure)
+            best = self._computed(k, masks[fresh], closure)[0]
             if len(index) + len(new) > self.store_capacity or not all(
                 map(index.__contains__, old)
             ):
                 index.clear()  # full, or cleared meanwhile: this batch starts it afresh
                 new = old + new
                 best = np.concatenate([old_best, best])
-                winners = np.concatenate([old_winners, winners])
             start = len(index)
             index.update(zip(new, range(start, start + len(new))))
             if len(index) > len(self.store_best):
                 size = max(len(index), min(2 * len(self.store_best), self.store_capacity))
-                for name in ("store_best", "store_winners"):
-                    stored = getattr(self, name)
-                    grown = np.empty((size,) + stored.shape[1:], dtype=stored.dtype)
-                    grown[:start] = stored[:start]
-                    setattr(self, name, grown)
+                grown = np.empty((size, self.floor + 1))
+                grown[:start] = self.store_best[:start]
+                self.store_best = grown
             self.store_best[start:len(index)] = best
-            self.store_winners[start:len(index)] = winners
         rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
-        return self.store_best[rows], self.store_winners[rows]
+        return self.store_best[rows]
 
     def _computed(self, k, masks, closure):
         """Node ``k``'s tables computed here; its children's come from ``_stored``.
 
-        A leaf-adjacent node runs the leaf kernel in ``leaf_rows`` chunks.  A
-        branched node sends the child masks of a chunk of its options through
-        each child as one batch; the root keeps only the entry that meets the
-        floor.
+        Also returns, per entry, the first option (or group, at a
+        leaf-adjacent node) that reaches it.  A leaf-adjacent node runs the
+        leaf kernel in ``leaf_rows`` chunks.  A branched node sends the child
+        masks of a chunk of its options through each child as one batch; the
+        root keeps only the entry that meets the floor.
         """
         best = np.full((len(masks), self.floor + 1), -np.inf)
         winners = np.zeros(best.shape, dtype=np.int64)
@@ -805,8 +801,8 @@ class _StructuredSearch:
             left = (masks[:, None] & go).reshape(-1, self.n)
             right = (masks[:, None] & ~go).reshape(-1, self.n)
             merged = self._merge(
-                self._stored(left_child[1], left, closure)[0],
-                self._stored(right_child[1], right, closure)[0],
+                self._stored(left_child[1], left, closure),
+                self._stored(right_child[1], right, closure),
                 keep,
             ).reshape(len(masks), len(go), -1)
             chunk_best = merged.max(axis=1)
@@ -918,14 +914,16 @@ class _StructuredSearch:
 
     # -- recovering the winning tests ---------------------------------------------
 
-    def _recover(self, child, mask, key: int, value, winner: int, closure, tests):
+    def _recover(self, child, mask, key: int, value, closure, tests):
         """Put into ``tests`` the tests that earn ``value`` at ``key``.
 
-        ``winner`` is the option (or group) that the subtree's table names
-        for that entry.  Splits of the count are taken in order; within a
-        group each feature goes right unless that loses ``value``.
+        Each node's test (its group, at a leaf-adjacent node) is the first to
+        reach the entry, computed again for this one mask; the children's
+        tables come from the store.  Splits of the count are taken in order;
+        within a group each feature goes right unless that loses ``value``.
         """
         k = child[1]
+        winner = int(self._computed(k, mask[None], closure)[1][0, key])
         if k in self.topo.leaf_adjacent:
             g = winner
             gains = self._gains(mask[None])
@@ -944,14 +942,12 @@ class _StructuredSearch:
         go = self._go_left([tests[k]])[0]
         left_child, right_child = self.topo.children[k]
         left_mask, right_mask = mask & go, mask & ~go
-        left, left_win = self._stored(left_child[1], left_mask[None], closure)
-        right, right_win = self._stored(right_child[1], right_mask[None], closure)
+        left = self._stored(left_child[1], left_mask[None], closure)
+        right = self._stored(right_child[1], right_mask[None], closure)
         t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
         u = key - t
-        self._recover(left_child, left_mask, t, left[0, t], int(left_win[0, t]),
-                      closure, tests)
-        self._recover(right_child, right_mask, u, right[0, u], int(right_win[0, u]),
-                      closure, tests)
+        self._recover(left_child, left_mask, t, left[0, t], closure, tests)
+        self._recover(right_child, right_mask, u, right[0, u], closure, tests)
 
     # -- incumbent assignment ------------------------------------------------------
 

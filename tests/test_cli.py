@@ -129,6 +129,14 @@ def test_missing_column_is_reported(toy, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--time-limit", "nan"), ("--time-limit", "-1"),
+                                         ("--node-limit", "-1")])
+def test_invalid_limit_is_reported(toy, capsys, flag, value):
+    code = main(["train", "--data", str(toy), "--label-col", "grade", flag, value])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_node_limit_exit_code(monks3, tmp_path):
     out = tmp_path / "limited.json"
     code = main(

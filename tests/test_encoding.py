@@ -41,6 +41,34 @@ def test_parse_csv_explicit_positive():
     assert table.labels == (-1, 1, 1, -1)
 
 
+@pytest.mark.parametrize(
+    "column, positive, expected",
+    [
+        (["-1", "+1"], None, (-1, 1)),
+        (["+1", "-1"], None, (1, -1)),
+        (["-1", "1"], None, (-1, 1)),
+        (["-1", "-1"], None, (-1, -1)),
+        (["+1", "+1"], None, (1, 1)),
+        (["1", "+1"], None, (1, 1)),
+        (["-1", "1"], "-1", (1, -1)),
+        (["-1", "+1"], "-1", (1, -1)),
+        (["-1", "1"], "1", (-1, 1)),
+    ],
+    ids=["minus-plus", "plus-minus", "minus-one", "only-minus", "only-plus",
+         "one-and-plus", "positive-minus", "positive-minus-plus", "positive-one"],
+)
+def test_signed_labels_map_by_value(column, positive, expected):
+    # -1, 1 and +1 map by value unless a positive label is named, which is
+    # used first; lexicographic order would put "-1" above "+1"
+    text = "a,y\n" + "".join(f"x{i},{v}\n" for i, v in enumerate(column))
+    assert parse_table(text, positive_label=positive).labels == expected
+
+
+def test_positive_label_must_be_present():
+    with pytest.raises(NonBinaryLabelError):
+        parse_table("a,y\nx,-1\nz,1\n", positive_label="+1")
+
+
 def test_malformed_row():
     text = "a,b,c\n1,2,3\n1,2\n"
     with pytest.raises(MalformedRowError):

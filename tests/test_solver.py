@@ -11,6 +11,7 @@ import grouptree.solver as solver_mod
 from grouptree.encoding import EncodedDataset
 from grouptree.errors import (
     FractionalSelectionError,
+    InvalidConfigError,
     NumericalFailureError,
     TimeLimitNoIncumbentError,
 )
@@ -173,7 +174,7 @@ def test_fixed_tests_route_like_the_classifier(rng):
 
 
 def test_returned_assignment_is_integral(rng):
-    for method in ("structured", "lp"):
+    for method in ("auto", "lp"):
         data = random_dataset(rng, 16, [2, 3])
         model = build_model(data, preset("depth2"))
         result = solve_milp(model, method=method)
@@ -255,7 +256,7 @@ def test_constrained_solves_match_oracle(rng):
     # only the small depth2 models
     for name in ("depth2", "depth2_5", "depth3"):
         topo = preset(name)
-        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        methods = ("auto", "lp") if name == "depth2" else ("auto",)
         for _ in range(5 if name == "depth2" else 3):
             data = random_dataset(rng, 16 if name == "depth2" else 12, [2, 3])
             if (data.labels == 1).sum() == 0 or (data.labels == -1).sum() == 0:
@@ -296,13 +297,39 @@ def test_extract_tree_fractional_selection():
 
 def test_time_limit_without_incumbent(rng):
     data = random_dataset(rng, 12, [2, 2])
-    for method in ("structured", "lp"):
+    for method in ("auto", "lp"):
         with pytest.raises(TimeLimitNoIncumbentError):
             solve_milp(
                 build_model(data, preset("depth2")),
                 SolveConfig(time_limit=0.0),
                 method=method,
             )
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"time_limit": float("nan")}, {"time_limit": -1.0}, {"node_limit": -1},
+     {"node_limit": 2.5}, {"node_limit": float("nan")}],
+    ids=["time-nan", "time-negative", "nodes-negative", "nodes-fraction", "nodes-nan"],
+)
+def test_invalid_limits_are_rejected(limits):
+    # a NaN time limit compares false with every elapsed time, so it would
+    # run without a limit
+    with pytest.raises(InvalidConfigError):
+        SolveConfig(**limits)
+
+
+def test_unknown_method_is_rejected(rng):
+    # "auto" runs the structured engine on a built model; there is no
+    # separate name for it
+    model = build_model(random_dataset(rng, 8, [2]), preset("depth2"))
+    with pytest.raises(ValueError):
+        solve_milp(model, method="structured")
+
+
+def test_valid_limits_are_kept():
+    assert SolveConfig(time_limit=0.0, node_limit=0).node_limit == 0
+    assert SolveConfig(time_limit=float("inf")).time_limit == float("inf")
 
 
 def test_node_limit_returns_incumbent(rng, monkeypatch):
@@ -313,7 +340,7 @@ def test_node_limit_returns_incumbent(rng, monkeypatch):
     matrix = np.vstack([base.matrix, base.matrix])
     labels = np.concatenate([base.labels, -base.labels])
     data = EncodedDataset(matrix=matrix, labels=labels, schema=base.schema)
-    for method in ("structured", "lp"):
+    for method in ("auto", "lp"):
         result = solve_milp(
             build_model(data, preset("depth2")), SolveConfig(node_limit=8), method=method
         )
@@ -615,7 +642,7 @@ def test_weighted_objective_matches_oracle(rng):
     # non-integer weights are scaled to integers inside the structured engine
     for name in ("depth2", "depth2_5", "depth3"):
         topo = preset(name)
-        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        methods = ("auto", "lp") if name == "depth2" else ("auto",)
         weights = (Fraction(5, 2),) * (4 if name == "depth2" else 1)
         for weight in weights + (Fraction(3, 2), Fraction(1, 3)):
             data = random_dataset(rng, 18 if name == "depth2" else 12, [3, 2])
@@ -656,7 +683,7 @@ def test_custom_single_node_shape(rng):
     topo = parse_shape("(# #)", name="stump")
     data = random_dataset(rng, 20, [3, 2])
     expected, _ = enumerate_optimal(data, topo)
-    for method in ("structured", "lp"):
+    for method in ("auto", "lp"):
         result = solve_milp(build_model(data, topo), method=method)
         assert result.status == OPTIMAL
         assert abs(result.objective - float(expected)) < 1e-9
@@ -734,7 +761,7 @@ def test_forbid_trivial_against_brute_force(rng):
         data = random_dataset(rng, 14 if name == "depth2" else 10, [2, 2])
         expected = _brute_force_nontrivial(data, topo, weight=weight)
         cfg = BuildConfig(forbid_trivial_branch=True, class_weight=weight)
-        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        methods = ("auto", "lp") if name == "depth2" else ("auto",)
         for method in methods:
             result = solve_milp(build_model(data, topo, cfg), method=method)
             assert result.status == OPTIMAL
@@ -762,7 +789,7 @@ def test_forbid_trivial_constrained_against_brute_force(rng):
             forbid_trivial_branch=True, mode=mode, **{rate_key: floor_rate}
         )
         model = build_model(data, topo, cfg)
-        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        methods = ("auto", "lp") if name == "depth2" else ("auto",)
         for method in methods:
             result = solve_milp(model, method=method)
             if expected is None:
@@ -796,7 +823,7 @@ def test_forbid_trivial_constrained_large_group_is_feasible():
 def test_max_specificity_matches_oracle(rng):
     for name in ("depth2", "depth2_5", "depth3"):
         topo = preset(name)
-        methods = ("structured", "lp") if name == "depth2" else ("structured",)
+        methods = ("auto", "lp") if name == "depth2" else ("auto",)
         for _ in range(4 if name == "depth2" else 2):
             data = random_dataset(rng, 14 if name == "depth2" else 12, [2, 3])
             if (data.labels == 1).sum() == 0 or (data.labels == -1).sum() == 0:
@@ -848,10 +875,10 @@ def test_wide_unanchored_search_is_optimal():
     ids=["accuracy", "floored"],
 )
 def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
-    # Leaf-adjacent tables served from the per-solve store are the
-    # knapsack's, which in accuracy mode is not the kernel the search runs,
-    # for repeated and new masks alike, also when a tiny store (a few rows)
-    # is refilled on almost every batch.
+    # Leaf-adjacent tables served from the per-solve store, and the winners
+    # that _computed names, are the knapsack's, which in accuracy mode is not
+    # the kernel the search runs, for repeated and new masks alike, also when
+    # a tiny store (a few rows) is refilled on almost every batch.
     if store_cells is not None:
         monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
     data = random_dataset(random.Random(3), 40, [3, 2, 4])
@@ -866,7 +893,8 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
     for _ in range(8):
         masks = np.vstack([pool[gen.integers(0, len(pool), 25)], gen.random((3, 40)) < 0.5])
         seen.update(row.tobytes() for row in masks)
-        best, winners = search._stored(leaf, masks, None)
+        best = search._stored(leaf, masks, None)
+        winners = search._computed(leaf, masks, None)[1]
         tables = search._group_tables(search._gains(masks))
         assert np.array_equal(best, tables.max(axis=1))
         assert np.array_equal(winners, tables.argmax(axis=1))
@@ -943,8 +971,9 @@ def _direct_tables(search, child, masks, options):
 )
 @pytest.mark.parametrize("shape", ["depth3", "imbalanced"])
 def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg):
-    # A non-root branched node's tables served from the per-solve store are
-    # its tables by definition, for repeated and new masks, under closures
+    # A non-root branched node's tables served from the per-solve store, and
+    # the winners that _computed names, are its tables and winners by
+    # definition, for repeated and new masks, under closures
     # whose boxes differ at the node or only below it, and also when a tiny
     # store (a few rows) is cleared inside the nested calls that compute them.
     if store_cells is not None:
@@ -964,9 +993,9 @@ def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg)
         allowed = search._allowed(zlo, zhi)
         options = [search._options(node) for node in allowed]
         closures.append((options, search._signatures(zlo, zhi)))
-    # the root keeps only its floor entry, so only the others are compared
-    # with the reference
-    below_root = [k for k in search.subtree_rows if k != search.topo.root]
+    # the root's table is not stored, so subtree_rows leaves the root out
+    below_root = list(search.subtree_rows)
+    assert search.topo.root not in below_root
     assert all(closures[0][1][k] != closures[1][1][k] for k in below_root)
     gen = np.random.default_rng(4)
     pool = np.vstack([np.ones((1, n), bool), gen.random((6, n)) < 0.6])
@@ -977,7 +1006,8 @@ def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg)
         for k in below_root:
             sig = closure[1][k]
             seen[k].update(sig + np.packbits(row).tobytes() for row in masks)
-            best, winners = search._stored(k, masks, closure)
+            best = search._stored(k, masks, closure)
+            winners = search._computed(k, masks, closure)[1]
             expected_best, expected_winners = _direct_tables(
                 search, ("node", k), masks, closure[0]
             )
@@ -1132,6 +1162,8 @@ def test_structured_search_is_pinned_with_a_store_cleared_mid_batch(monkeypatch)
 
 
 def _check_pinned_figures(monkeypatch, store_cells):
+    import hashlib
+
     from grouptree.datasets import monks
     from grouptree.encoding import build_schema, encode
     from grouptree.experiments import train_test_run
@@ -1142,6 +1174,9 @@ def _check_pinned_figures(monkeypatch, store_cells):
     run = train_test_run(encode(table, build_schema(table)), preset("imbalanced"), seed=1)
     assert (run.solve.status, run.solve.objective) == (OPTIMAL, 389.0)
     assert run.solve.nodes_processed == 39
+    # the recovered tree, read from a store that may have been cleared
+    tree_hash = hashlib.sha256(run.tree.to_json().encode()).hexdigest()
+    assert tree_hash.startswith("a800f4a7f5672cec")
 
     monkeypatch.setattr(solver_mod, "ENUM_BUDGET", 2)
     monkeypatch.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", 2)
