@@ -22,7 +22,7 @@ from .model import BuildConfig, build_model
 from .mps import export_lp, export_mps
 from .oracle import DEFAULT_BUDGET, enumerate_optimal
 from .solver import OPTIMAL, SolveConfig
-from .topology import PRESET_SHAPES, parse_shape, preset
+from .topology import parse_shape, preset
 from .tree import DecisionTree, evaluate
 
 EXIT_OK = 0
@@ -166,7 +166,8 @@ def _load_data(args) -> EncodedDataset:
 
 
 def _topology(name: str):
-    if name in PRESET_SHAPES:
+    """A shape in parentheses, else a preset by name: a typo lists the presets."""
+    if "(" not in name:
         return preset(name)
     return parse_shape(name)
 

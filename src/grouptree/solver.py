@@ -38,6 +38,7 @@ from . import simplex
 from .encoding import GroupSchema
 from .errors import (
     FractionalSelectionError,
+    InfeasibleError,
     InvalidConfigError,
     NumericalFailureError,
     TimeLimitNoIncumbentError,
@@ -171,6 +172,8 @@ def extract_tree(
     schema: GroupSchema,
 ) -> DecisionTree:
     """Read the classifier out of a solved assignment."""
+    if result.status not in (OPTIMAL, FEASIBLE_TIME_LIMIT):
+        raise InfeasibleError(f"the solve found no tree: status {result.status}")
     assignment = result.assignment
     tests = {}
     for k in topology.decision_nodes:
@@ -405,17 +408,39 @@ class _LpBranchAndBound:
 # ---------------------------------------------------------------------------
 
 
+class _NodeState:
+    """What one branched node allows under one propagated box row.
+
+    ``allowed`` holds ``(group, fixed features, free features)`` per allowed
+    group, ``count`` their number of tests, ``interval`` the DP branch
+    interval.  The first closure that needs them fills ``tests`` and each
+    test's 0/1 feature row ``member``; no field has a column per sample and
+    a row per test.  ``scores`` keeps the last DP scores with the children's
+    scores they came from.
+    """
+
+    __slots__ = ("allowed", "count", "interval", "tests", "member", "scores")
+
+    def __init__(self, allowed, interval):
+        self.allowed, self.interval = allowed, interval
+        self.count = sum(1 << len(free) for _, _, free in allowed)
+        self.tests = self.member = self.scores = None
+
+
 class _StructuredSearch:
     """Branch over the integral feature bits of a built model.
 
     A search node is a box of per-(decision node, feature) 0/1 bounds on the
     branched (non-leaf-adjacent) nodes.  Fixing a bit to 1 pins that node's
     group, which zeroes every other group's bits there; anchored nodes must
-    keep their group's anchor bit set.  Each search node derives once which
-    groups, and which fixed and free features, each branched node still
-    allows (``_allowed``); the bound, the test count and the closure all read
-    that.  Once the number of remaining test assignments at the branched
-    nodes is at most a budget, the node is closed exactly.
+    keep their group's anchor bit set.  Each branched node has one slot
+    holding its state (``_NodeState``): which groups, and which fixed and
+    free features, it allows, its DP branch interval and, once a closure
+    needs them, its tests.  A search node derives a branched node's state
+    again only when that node's box row changed (``_allowed``); the bound,
+    the test count, the closure and the recovery all read the states.  Once
+    the number of remaining test assignments at the branched nodes is at
+    most a budget, the node is closed exactly.
 
     The closure is the same in every mode; the mode is data fixed here:
     what a correct positive and a correct negative add to the objective
@@ -463,6 +488,9 @@ class _StructuredSearch:
         self.fidx = np.zeros((self.n_groups, self.n), dtype=np.int64)
         for g, feats in enumerate(self.group_feats):
             self.fidx[g] = feats[np.argmax(self.data.matrix[:, feats], axis=1)]
+        # per feature, 1 for the samples whose feature in its group it is
+        self.feature_samples = np.zeros((self.d, self.n), dtype=np.float32)
+        self.feature_samples[self.fidx, np.arange(self.n)] = 1
         self.anchor = [self.schema.anchor_feature(g) for g in range(self.n_groups)]
         self.anchored = self.topo.anchor_eligible if self.bcfg.anchor else frozenset()
         self.group_of = np.array([self.schema.group_of(j) for j in range(self.d)])
@@ -518,7 +546,9 @@ class _StructuredSearch:
             self.slot_used[g, : len(feats)] = True
         slot_cols = self.data.matrix[:, slots.ravel()] * self.slot_used.ravel()
         pos = self.labels[:, None] == 1
-        self.columns = np.hstack([slot_cols * ~pos, slot_cols * pos]).astype(float)
+        # float32 class counts are exact below 2**24 samples
+        count_type = np.float32 if self.n < 1 << 24 else float
+        self.columns = np.hstack([slot_cols * ~pos, slot_cols * pos]).astype(count_type)
         # routed [negatives, positives] per slot -> left/right gain, left/right count
         self.side_weights = np.array(
             [[gain_neg, gain_pos], [counted_neg, counted_pos]], dtype=float
@@ -527,8 +557,10 @@ class _StructuredSearch:
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
         # per branched node below the root, the positions of the branched
-        # nodes in its subtree: their box rows fix the subtree's options
+        # nodes in its subtree: their box rows fix the subtree's tests
         self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl if k != self.topo.root}
+        # per branched node, the propagated row its state was derived from
+        self.slots = [(None, None)] * self.n_decl
         # subtree tables of the masks routed so far: signature + packed mask -> row
         self.store_index: dict[bytes, int] = {}
         self.store_best = np.empty((0, self.floor + 1))
@@ -547,23 +579,22 @@ class _StructuredSearch:
     def bound(self, box, parent_bound):
         """Propagate the box in place; the DP bound unless some node allows no test.
 
-        What each branched node allows is the work handed on to ``split``.
+        The branched nodes' states are the work handed on to ``split``.
         """
-        zlo, zhi = box
-        allowed = self._allowed(zlo, zhi)
-        if allowed is None:
+        states = self._allowed(*box)
+        if states is None:
             return None
-        return min(parent_bound, self._dp_bound(zhi, allowed)), None, allowed
+        return min(parent_bound, self._dp_bound(states)), None, states
 
-    def split(self, box, allowed):
+    def split(self, box, states):
         """Close the box exactly if it holds few enough tests, else branch a bit."""
         zlo, zhi = box
-        count = prod(sum(1 << len(free) for _, _, free in node) for node in allowed)
+        count = prod(state.count for state in states)
         bit = self._branch_bit(zlo, zhi) if count > self.enum_budget else None
         if bit is None:
-            # each branched node's tests, and the signatures that key their
-            # stored tables
-            closure = [self._options(node) for node in allowed], self._signatures(zlo, zhi)
+            # each branched node's state with its tests, and the signatures
+            # that key their stored tables
+            closure = [self._tested(state) for state in states], self._signatures(zlo, zhi)
             everyone = np.ones((1, self.n), dtype=bool)
             # the best scaled objective meeting the floor (-inf if none)
             value = float(self._computed(self.topo.root, everyone, closure)[0][0, self.floor])
@@ -601,60 +632,79 @@ class _StructuredSearch:
     # -- what a box allows ----------------------------------------------------
 
     def _allowed(self, zlo, zhi):
-        """Propagate the box in place; what each branched node still allows.
+        """Propagate the box in place; each branched node's ``_NodeState``.
 
-        A set bit pins its node's group and clears the other groups' bits; at
-        an anchored node the pinned group's anchor bit is set, and only
-        groups whose anchor bit may be set are allowed.  Returns, per
-        branched node, ``(group, fixed features, free features)`` of each
-        allowed group, an anchored node's anchor among the fixed ones; None
-        when some node allows no test.
+        A state depends on its node's row alone, and propagating a propagated
+        row changes nothing, so a row equal to its slot's keeps the slot's
+        state.  None when some node allows no test.
         """
-        allowed = []
-        for p, k in enumerate(self.decl):
-            lo, hi = zlo[p], zhi[p]
-            pinned = set(self.group_of[lo == 1].tolist())
-            if len(pinned) > 1:
-                return None
-            for g in pinned:
-                hi[self.group_of != g] = 0
-            anchored = k in self.anchored
-            node = []
-            for g in pinned or range(self.n_groups):
-                feats = self.group_feats[g]
-                fixed = lo[feats] == 1
-                if anchored:
-                    a = self.anchor[g]
-                    if hi[a] == 0:
-                        continue
-                    if pinned:
-                        lo[a] = 1
-                    fixed |= feats == a
-                free = (hi[feats] == 1) & ~fixed
-                node.append((g, feats[fixed].tolist(), feats[free].tolist()))
-            if not node:
-                return None
-            allowed.append(node)
-        return allowed
+        states = []
+        for p, (row, state) in enumerate(self.slots):
+            if zlo[p].tobytes() + zhi[p].tobytes() != row:
+                state = self._derive(p, zlo[p], zhi[p])
+                if state is None:
+                    return None
+                self.slots[p] = zlo[p].tobytes() + zhi[p].tobytes(), state
+            states.append(state)
+        return states
 
-    def _options(self, node):
-        """Deterministic (group, subset tuple) tests of one node's allowed groups."""
-        options = []
-        emitted_empty = False
-        for g, fixed, free in node:
-            size = len(self.group_feats[g])
-            for bits in range(1 << len(free)):
-                subset = fixed + [j for t, j in enumerate(free) if bits >> t & 1]
-                if self.bcfg.forbid_trivial_branch and (
-                    len(subset) == 0 or len(subset) == size
-                ):
+    def _derive(self, p, lo, hi):
+        """Propagate node ``p``'s row in place; its state, None if it allows no test.
+
+        A set bit pins the node's group and clears the other groups' bits; at
+        an anchored node the pinned group's anchor bit is set, and only
+        groups whose anchor bit may be set are allowed, each with its anchor
+        among the fixed features.
+        """
+        pinned = set(self.group_of[lo == 1].tolist())
+        if len(pinned) > 1:
+            return None
+        for g in pinned:
+            hi[self.group_of != g] = 0
+        anchored = self.decl[p] in self.anchored
+        allowed = []
+        for g in pinned or range(self.n_groups):
+            feats = self.group_feats[g]
+            fixed = lo[feats] == 1
+            if anchored:
+                a = self.anchor[g]
+                if hi[a] == 0:
                     continue
-                if not subset:
-                    if emitted_empty:
-                        continue  # the all-right test does not depend on the group
-                    emitted_empty = True
-                options.append((g, tuple(sorted(subset))))
-        return options
+                if pinned:
+                    lo[a] = 1
+                fixed |= feats == a
+            free = (hi[feats] == 1) & ~fixed
+            allowed.append((g, feats[fixed].tolist(), feats[free].tolist()))
+        if not allowed:
+            return None
+        # the DP branch interval, per sample: 1 if the node surely sends it
+        # left (its feature is fixed in every allowed group), 1 if it may
+        surely = np.zeros(self.d, dtype=bool)
+        surely[[j for _, fixed, _ in allowed for j in fixed]] = True
+        surely_left = surely[self.fidx[[g for g, _, _ in allowed]]].all(axis=0)
+        may_left = np.max(hi[self.fidx], axis=0)
+        return _NodeState(allowed, (surely_left.astype(float), may_left.astype(float)))
+
+    def _tested(self, state):
+        """``state`` with its tests filled in once, in a fixed order.
+
+        Per allowed group, the fixed features with each subset of the free
+        ones.  A subset names its group, but for the all-right test, which
+        comes once; forbidden trivial tests are left out.
+        """
+        if state.tests is None:
+            forbid = self.bcfg.forbid_trivial_branch
+            tests = {}  # subset -> group
+            for g, fixed, free in state.allowed:
+                for bits in range(1 << len(free)):
+                    subset = tuple(sorted(fixed + [j for t, j in enumerate(free) if bits >> t & 1]))
+                    if not forbid or 0 < len(subset) < len(self.group_feats[g]):
+                        tests.setdefault(subset, g)
+            state.tests = [(g, subset) for subset, g in tests.items()]
+            state.member = np.zeros((len(tests), self.d), dtype=np.float32)
+            rows = np.repeat(np.arange(len(tests)), list(map(len, tests)))
+            state.member[rows, [j for subset in tests for j in subset]] = 1
+        return state
 
     def _subtree_rows(self, k: int) -> np.ndarray:
         """Positions of the branched nodes in node ``k``'s subtree, ``k`` included."""
@@ -669,7 +719,7 @@ class _StructuredSearch:
     def _signatures(self, zlo, zhi) -> dict[int, bytes]:
         """Per branched node below the root: its id and its subtree's box rows.
 
-        Those rows fix the options of every branched node in the subtree
+        Those rows fix the tests of every branched node in the subtree
         (``_allowed`` reads a node's own rows only, and propagating them again
         changes nothing), so two closures whose signatures agree at a node
         have the same table there for each routed mask.
@@ -681,12 +731,12 @@ class _StructuredSearch:
 
     # -- per-sample relaxation bound ------------------------------------------
 
-    def _dp_bound(self, zhi, allowed) -> float:
+    def _dp_bound(self, states) -> float:
         """Valid upper bound: each sample routed as well as its boxes allow."""
-        h = np.minimum(self._dp_scores(("node", self.topo.root), zhi, allowed), 1.0)
+        h = np.minimum(self._dp_scores(("node", self.topo.root), states), 1.0)
         return float(np.dot(self.sample_w, h))
 
-    def _dp_scores(self, child, zhi, allowed) -> np.ndarray:
+    def _dp_scores(self, child, states) -> np.ndarray:
         # a method, not a nested function: a self-referencing closure would
         # keep the search, and its model, alive until the cyclic collector runs
         kind, kk = child
@@ -694,9 +744,13 @@ class _StructuredSearch:
             return self.leaf_scores[kk % 2]
         if kk in self.topo.leaf_adjacent:
             return self.leaf_adjacent_scores
-        hl = self._dp_scores(self.topo.children[kk][0], zhi, allowed)
-        hr = self._dp_scores(self.topo.children[kk][1], zhi, allowed)
-        return self._dp_best(hl, hr, *self._branch_interval(kk, zhi, allowed))
+        state = states[self.decl_pos[kk]]
+        hl, hr = (self._dp_scores(c, states) for c in self.topo.children[kk])
+        # the state keeps its scores with the children's scores they came
+        # from; score arrays are never changed in place
+        if state.scores is None or state.scores[0] is not hl or state.scores[1] is not hr:
+            state.scores = hl, hr, self._dp_best(hl, hr, *state.interval)
+        return state.scores[2]
 
     @staticmethod
     def _dp_best(hl, hr, lo, hi) -> np.ndarray:
@@ -707,17 +761,6 @@ class _StructuredSearch:
             best = val if best is None else np.maximum(best, val)
         return best
 
-    def _branch_interval(self, k: int, zhi, allowed):
-        """Per sample, 1 if branched node ``k`` surely sends it left, and 1 if it may."""
-        p = self.decl_pos[k]
-        # surely left: its feature is fixed in every group the node allows
-        surely = np.zeros(self.d, dtype=bool)
-        surely[[j for _, fixed, _ in allowed[p] for j in fixed]] = True
-        groups = [g for g, _, _ in allowed[p]]
-        lo = surely[self.fidx[groups]].all(axis=0).astype(float)
-        hi = np.max(zhi[p][self.fidx], axis=0).astype(float)
-        return lo, hi
-
     # -- closure: one exact table kernel for every mode ---------------------
     #
     # A table holds, for ``t = 0 .. floor``, the best scaled objective of a
@@ -727,9 +770,9 @@ class _StructuredSearch:
         """Node ``k``'s tables, one per routed mask, each computed once per solve.
 
         ``k`` is any node but a branched root, whose table ``split`` computes
-        directly.  ``closure`` holds each branched node's options and
+        directly.  ``closure`` holds each branched node's state and
         signature.  A table depends only on the routed mask, on what fixes
-        the options in the subtree, and on the mode and the floor, which are
+        the tests in the subtree, and on the mode and the floor, which are
         fixed for the solve.  A leaf-adjacent node's test is never branched
         and its children are leaves, so its signature is empty and its table
         is shared by every leaf-adjacent node; a branched node's signature is
@@ -775,10 +818,10 @@ class _StructuredSearch:
     def _computed(self, k, masks, closure):
         """Node ``k``'s tables computed here; its children's come from ``_stored``.
 
-        Also returns, per entry, the first option (or group, at a
+        Also returns, per entry, the first test (or group, at a
         leaf-adjacent node) that reaches it.  A leaf-adjacent node runs the
         leaf kernel in ``leaf_rows`` chunks.  A branched node sends the child
-        masks of a chunk of its options through each child as one batch; the
+        masks of a chunk of its tests through each child as one batch; the
         root keeps only the entry that meets the floor.
         """
         best = np.full((len(masks), self.floor + 1), -np.inf)
@@ -792,12 +835,12 @@ class _StructuredSearch:
                 best[at] = tables.max(axis=1)
                 winners[at] = tables.argmax(axis=1)
             return best, winners
-        tests = closure[0][self.decl_pos[k]]
+        state = closure[0][self.decl_pos[k]]
         keep = self.floor if k == self.topo.root else 0
         left_child, right_child = self.topo.children[k]
         step = max(1, CHUNK_ROWS // len(masks))
-        for lo in range(0, len(tests), step):
-            go = self._go_left(tests[lo:lo + step])
+        for lo in range(0, len(state.tests), step):
+            go = self._go_left(state, slice(lo, lo + step))
             left = (masks[:, None] & go).reshape(-1, self.n)
             right = (masks[:, None] & ~go).reshape(-1, self.n)
             merged = self._merge(
@@ -811,16 +854,14 @@ class _StructuredSearch:
             winners[better] = merged.argmax(axis=1)[better] + lo
         return best, winners
 
-    def _go_left(self, options) -> np.ndarray:
-        """``(len(options), n)``: the samples each (group, subset) test sends left."""
-        count = len(options)
-        groups = np.fromiter((g for g, _ in options), np.int64, count)
-        sizes = np.fromiter((len(subset) for _, subset in options), np.int64, count)
-        feats = np.fromiter((j for _, subset in options for j in subset), np.int64)
-        member = np.zeros((count, self.d), dtype=bool)
-        member[np.repeat(np.arange(count), sizes), feats] = True
-        # each option's row, read at each sample's feature in the option's group
-        return member[np.arange(count)[:, None], self.fidx[groups]]
+    def _go_left(self, state, at) -> np.ndarray:
+        """Per test of ``state.tests[at]``, the samples it sends left.
+
+        A test's membership row holds features of its own group only, so its
+        product with ``feature_samples`` is 1 exactly where a sample's feature
+        in that group is in the subset, and 0 elsewhere.
+        """
+        return state.member[at] @ self.feature_samples > 0
 
     def _merge(self, left, right, keep: int) -> np.ndarray:
         """Parent tables: the best split of the count between the two children.
@@ -842,7 +883,7 @@ class _StructuredSearch:
         sends them right, then the floored count it adds on each side.
         """
         shape = (len(masks), 1, 2) + self.slot_used.shape
-        counts = (masks @ self.columns).reshape(shape)
+        counts = (masks.astype(self.columns.dtype) @ self.columns).reshape(shape)
         gains = counts * self.side_weights[:, :, None, None]
         return gains.reshape((len(masks), 4) + self.slot_used.shape)
 
@@ -938,8 +979,9 @@ class _StructuredSearch:
                     subset.append(j)
             tests[k] = (g, tuple(subset))
             return
-        tests[k] = closure[0][self.decl_pos[k]][winner]
-        go = self._go_left([tests[k]])[0]
+        state = closure[0][self.decl_pos[k]]
+        tests[k] = state.tests[winner]
+        go = self._go_left(state, [winner])[0]
         left_child, right_child = self.topo.children[k]
         left_mask, right_mask = mask & go, mask & ~go
         left = self._stored(left_child[1], left_mask[None], closure)

@@ -137,6 +137,30 @@ def test_invalid_limit_is_reported(toy, capsys, flag, value):
     assert "error:" in capsys.readouterr().err
 
 
+def test_infeasible_training_is_reported(tmp_path, capsys):
+    # one category and trivial tests forbidden: no tree exists
+    path = tmp_path / "one.csv"
+    path.write_text("a,class\n" + "".join(f"x,{i % 2}\n" for i in range(11)), encoding="utf-8")
+    code = main(["train", "--data", str(path), "--label-col", "class", "--forbid-trivial"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "status infeasible" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--topology", "depth4"],
+    ["train", "--topology", "nosuch"],
+    ["cv", "--topologies", "depth2,nosuch"],
+    ["export", "--topology", "depth4"],
+])
+def test_unknown_topology_is_reported(toy, capsys, argv):
+    # text without "(" names a preset, so a mistyped one lists the presets
+    # instead of failing to parse as a shape
+    assert main(argv[:1] + ["--data", str(toy), "--label-col", "grade"] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown topology") and "depth2_5" in err
+
+
 def test_node_limit_exit_code(monks3, tmp_path):
     out = tmp_path / "limited.json"
     code = main(

@@ -6,7 +6,7 @@ import pytest
 
 from grouptree.datasets import monks, tic_tac_toe
 from grouptree.encoding import EncodedDataset, build_schema, encode
-from grouptree.errors import InvalidConfigError
+from grouptree.errors import InfeasibleError, InvalidConfigError
 from grouptree.experiments import (
     cross_validate_topology,
     protocol_split,
@@ -16,7 +16,7 @@ from grouptree.experiments import (
 from grouptree.model import BuildConfig, build_model
 from grouptree.oracle import enumerate_optimal
 from grouptree.rng import SplitMix64
-from grouptree.solver import solve_milp
+from grouptree.solver import INFEASIBLE, solve_milp
 from grouptree.topology import preset
 from tests.conftest import make_schema, random_dataset
 
@@ -55,6 +55,28 @@ def test_train_test_run_deterministic(rng):
     assert a.train_metrics == b.train_metrics
     c = train_test_run(data, preset("depth2"), seed=6)
     assert c.train_indices != a.train_indices
+
+
+@pytest.mark.parametrize("method", ["auto", "lp"])
+def test_infeasible_training_names_its_status(monkeypatch, method):
+    # One category only: with trivial tests forbidden no tree exists.  Both
+    # engines say so, and training reports that, not a fractional selection.
+    import grouptree.experiments as experiments_mod
+
+    solve = experiments_mod.solve_milp
+    statuses = []
+
+    def recorded(model, config=None):
+        result = solve(model, config, method=method)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(experiments_mod, "solve_milp", recorded)
+    data = random_dataset(random.Random(0), 11, [1], labels=[1, -1] * 5 + [1])
+    cfg = BuildConfig(forbid_trivial_branch=True)
+    with pytest.raises(InfeasibleError, match="status infeasible"):
+        train_test_run(data, preset("depth2"), cfg, seed=1)
+    assert statuses == [INFEASIBLE]
 
 
 def test_train_metrics_match_objective(rng):

@@ -863,6 +863,17 @@ def test_wide_unanchored_search_is_optimal():
     assert result.objective == solve_milp(build_model(data, topo)).objective
 
 
+def _class_counts(search, masks):
+    """Test-local reference: per mask and feature slot, the routed [negatives, positives]."""
+    counts = np.zeros((len(masks), 2) + search.slot_used.shape)
+    for c, label in enumerate((-1, 1)):
+        routed = (masks & (search.data.labels == label)).astype(np.int64)
+        per_feature = routed @ search.data.matrix.astype(np.int64)
+        for g, feats in enumerate(search.group_feats):
+            counts[:, c, g, : len(feats)] = per_feature[:, feats]
+    return counts
+
+
 @pytest.mark.parametrize("store_cells", [None, 40], ids=["store", "tiny-store"])
 @pytest.mark.parametrize(
     "cfg",
@@ -878,7 +889,9 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
     # Leaf-adjacent tables served from the per-solve store, and the winners
     # that _computed names, are the knapsack's, which in accuracy mode is not
     # the kernel the search runs, for repeated and new masks alike, also when
-    # a tiny store (a few rows) is refilled on almost every batch.
+    # a tiny store (a few rows) is refilled on almost every batch.  The
+    # kernel's gains are the class counts, counted in integers, times the
+    # mode's weights.
     if store_cells is not None:
         monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
     data = random_dataset(random.Random(3), 40, [3, 2, 4])
@@ -895,7 +908,11 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
         seen.update(row.tobytes() for row in masks)
         best = search._stored(leaf, masks, None)
         winners = search._computed(leaf, masks, None)[1]
-        tables = search._group_tables(search._gains(masks))
+        gains = search._gains(masks)
+        counts = _class_counts(search, masks)
+        assert np.array_equal(gains[:, :2], counts * search.side_weights[0, :, None, None])
+        assert np.array_equal(gains[:, 2:], counts * search.side_weights[1, :, None, None])
+        tables = search._group_tables(gains)
         assert np.array_equal(best, tables.max(axis=1))
         assert np.array_equal(winners, tables.argmax(axis=1))
     if store_cells is None:
@@ -930,6 +947,15 @@ def test_closed_form_leaf_tables_match_the_knapsack(forbid):
         assert np.array_equal(closed.argmax(axis=1), knapsack.argmax(axis=1))
 
 
+def _sends_left(data, tests):
+    """Test-local reference: per (group, subset) test, the samples it sends left.
+
+    A sample goes left when one of its features is in the subset.
+    """
+    return np.array([data.matrix[:, list(subset)].any(axis=1) for _, subset in tests],
+                    dtype=bool).reshape(len(tests), data.n_samples)
+
+
 def _direct_tables(search, child, masks, options):
     """Test-local reference: a subtree's tables from their definition, mask by mask.
 
@@ -942,7 +968,7 @@ def _direct_tables(search, child, masks, options):
         tables = search._group_tables(search._gains(masks))
         return tables.max(axis=1), tables.argmax(axis=1)
     tests = options[search.decl_pos[k]]
-    go = search._go_left(tests)
+    go = _sends_left(search.data, tests)
     left_child, right_child = search.topo.children[k]
     best = np.empty((len(masks), search.floor + 1))
     winners = np.empty(best.shape, dtype=np.int64)
@@ -990,9 +1016,8 @@ def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg)
         zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
         zhi = np.ones_like(zlo)
         zlo[pinned, data.schema.features_of(2)[1]] = 1
-        allowed = search._allowed(zlo, zhi)
-        options = [search._options(node) for node in allowed]
-        closures.append((options, search._signatures(zlo, zhi)))
+        states = [search._tested(state) for state in search._allowed(zlo, zhi)]
+        closures.append((states, search._signatures(zlo, zhi)))
     # the root's table is not stored, so subtree_rows leaves the root out
     below_root = list(search.subtree_rows)
     assert search.topo.root not in below_root
@@ -1009,7 +1034,7 @@ def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg)
             best = search._stored(k, masks, closure)
             winners = search._computed(k, masks, closure)[1]
             expected_best, expected_winners = _direct_tables(
-                search, ("node", k), masks, closure[0]
+                search, ("node", k), masks, [state.tests for state in closure[0]]
             )
             assert np.array_equal(best, expected_best)
             assert np.array_equal(winners, expected_winners)
@@ -1054,10 +1079,11 @@ def test_solves_under_a_tiny_store_match_oracle(monkeypatch, mode):
 
 def test_go_left_follows_its_definition():
     # Sample i goes left under (g, subset) exactly when its feature in group
-    # g is in the subset.  Checked on whole option lists spanning several
+    # g is in the subset.  Checked on whole test lists spanning several
     # groups, with the all-right test (unanchored root) and fixed anchors
-    # (anchored node 2), after a bit pins a group, and on the slices that
-    # _computed passes.
+    # (anchored node 2), after a bit pins a group, on the slices that
+    # _computed passes, on the single rows that _recover passes, and on a
+    # state whose allowed groups are written by hand.
     data = random_dataset(random.Random(5), 30, [3, 1, 2, 4])
     search = solver_mod._StructuredSearch(build_model(data, preset("depth2_5")), SolveConfig())
     schema = data.schema
@@ -1067,25 +1093,128 @@ def test_go_left_follows_its_definition():
         for g in range(schema.n_groups)
     }
 
-    def check(options):
-        go = search._go_left(options)
-        assert go.shape == (len(options), data.n_samples) and go.dtype == bool
-        for o, (g, subset) in enumerate(options):
+    def check(state, at):
+        go = search._go_left(state, at)
+        indices = range(len(state.tests))[at] if isinstance(at, slice) else at
+        tests = [state.tests[t] for t in indices]
+        assert go.shape == (len(tests), data.n_samples) and go.dtype == bool
+        for o, (g, subset) in enumerate(tests):
             assert go[o].tolist() == [active[i, g] in subset for i in range(data.n_samples)]
 
     zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
-    root, anchored = [search._options(node) for node in search._allowed(zlo, np.ones_like(zlo))]
+    root_state, anchored_state = [
+        search._tested(state) for state in search._allowed(zlo, np.ones_like(zlo))
+    ]
+    root, anchored = root_state.tests, anchored_state.tests
     assert len({g for g, _ in root}) == len({g for g, _ in anchored}) == 4
     assert any(not subset for _, subset in root)
     assert all(schema.anchor_feature(g) in subset for g, subset in anchored)
     zlo[1, schema.features_of(3)[2]] = 1
-    pinned = search._options(search._allowed(zlo, np.ones_like(zlo))[1])
-    assert {g for g, _ in pinned} == {3}
-    for options in (root, anchored, pinned):
-        check(options)
-        for start in range(0, len(options), 7):
-            check(options[start:start + 7])
-    check([(2, ()), (1, (schema.features_of(1)[0],)), root[-1], anchored[0]])
+    pinned_state = search._tested(search._allowed(zlo, np.ones_like(zlo))[1])
+    assert {g for g, _ in pinned_state.tests} == {3}
+    for state in (root_state, anchored_state, pinned_state):
+        check(state, slice(None))
+        for start in range(0, len(state.tests), 7):
+            check(state, slice(start, start + 7))
+            check(state, [start])
+    f = schema.features_of(1)[0]
+    by_hand = solver_mod._NodeState(
+        [(2, [], []), (1, [f], []), (root[-1][0], list(root[-1][1]), []),
+         (anchored[0][0], list(anchored[0][1]), [])],
+        None,
+    )
+    assert search._tested(by_hand).tests == [(2, ()), (1, (f,)), root[-1], anchored[0]]
+    check(by_hand, slice(None))
+
+
+def _solve_record(data, topo, cfg):
+    """Everything a solve reports: progress payloads but their times, figures, tree."""
+    records = []
+    result = solve_milp(build_model(data, topo, cfg), SolveConfig(callback=records.append))
+    payloads = [{key: v for key, v in r.items() if key != "time"} for r in records]
+    tree = None
+    if result.status == OPTIMAL:
+        tree = extract_tree(result, topo, data.schema).to_json()
+    return payloads, result.status, result.objective, result.nodes_processed, tree
+
+
+def test_node_state_reuse_is_exact(monkeypatch):
+    # A branched node keeps its state while its box row is unchanged.  The
+    # same solves with every slot forced to miss, so that every search node
+    # derives every state afresh, report the same progress, node counts,
+    # objectives and trees, in every mode, with trivial tests forbidden or
+    # not, anchors on or off, and budgets that close at once or branch.
+    derived = []
+    derive = solver_mod._StructuredSearch._derive
+    allowed = solver_mod._StructuredSearch._allowed
+
+    def counted(self, p, lo, hi):
+        derived[-1] += 1
+        return derive(self, p, lo, hi)
+
+    def missing(self, zlo, zhi):
+        self.slots = [(None, None)] * self.n_decl
+        return allowed(self, zlo, zhi)
+
+    monkeypatch.setattr(solver_mod._StructuredSearch, "_derive", counted)
+    rng = random.Random(15)
+    floors = {"accuracy": {}, "max_sensitivity": {"min_specificity": Fraction(1, 2)},
+              "max_specificity": {"min_sensitivity": Fraction(1, 2)}}
+    compared = [0, 0]  # derivations as shipped, and forced to miss
+    # groups wide enough that the default budgets branch depth3 and
+    # imbalanced; narrow ones where a budget of 4 branches every search
+    for budget, constrained, sizes, n in ((4096, 20000, [5, 4, 3], 12), (4, 4, [2, 2], 8)):
+        monkeypatch.setattr(solver_mod, "ENUM_BUDGET", budget)
+        monkeypatch.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", constrained)
+        for name in ("depth2", "depth2_5", "depth3", "imbalanced"):
+            for mode, floor in floors.items():
+                for forbid, anchor in itertools.product((False, True), repeat=2):
+                    data = random_dataset(rng, rng.randrange(n, n + 4), sizes)
+                    if len(set(data.labels.tolist())) < 2:
+                        continue
+                    cfg = BuildConfig(mode=mode, forbid_trivial_branch=forbid,
+                                      anchor=anchor, **floor)
+                    derived.append(0)
+                    shipped = _solve_record(data, preset(name), cfg)
+                    with monkeypatch.context() as m:
+                        m.setattr(solver_mod._StructuredSearch, "_allowed", missing)
+                        derived.append(0)
+                        fresh = _solve_record(data, preset(name), cfg)
+                    assert shipped == fresh
+                    compared[0] += derived[-2]
+                    compared[1] += derived[-1]
+    # the slots caught repeats, so the forced misses derived more often
+    assert compared[0] < compared[1]
+
+
+def test_node_states_hold_no_per_sample_matrix(monkeypatch):
+    # A state keeps per-sample vectors (the DP interval and scores) and, per
+    # test, a row over the features; never a tests x samples array.  The
+    # instance has a 17-category group: the whole solve, then a search whose
+    # root box keeps 14 of its categories, the anchor fixed, so that its one
+    # closure holds thousands of tests.
+    data = random_dataset(random.Random(5), 40, [2, 3, 17])
+    cfg = BuildConfig(mode="max_sensitivity", min_specificity=Fraction(1, 2),
+                      forbid_trivial_branch=True)
+    model = build_model(data, preset("depth2"), cfg)
+    search = solver_mod._StructuredSearch(model, SolveConfig())
+    states = []
+    derive = search._derive
+    monkeypatch.setattr(search, "_derive", lambda *args: states.append(derive(*args)) or states[-1])
+    assert search.run().status == OPTIMAL
+    zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
+    zhi = np.ones_like(zlo)
+    zhi[:, data.schema.features_of(2)[1:4]] = 0  # the anchor stays
+    result = solver_mod._best_first(search, (zlo, zhi), search.trivial_bound)
+    assert (result.status, result.nodes_processed) == (OPTIMAL, 1)
+    assert len(search.slots) == search.n_decl
+    states = [state for state in states if state is not None]
+    assert max(len(state.tests or ()) for state in states) > 8000
+    for state in states:
+        arrays = [state.member, *(state.scores or ()), *(state.interval or ())]
+        for array in arrays:
+            if array is not None:
+                assert array.ndim == 1 or array.shape[1] == search.d != data.n_samples
 
 
 def _reference_dp_bound(search, zhi, allowed):
@@ -1115,8 +1244,9 @@ def _reference_dp_bound(search, zhi, allowed):
 
 @pytest.mark.parametrize("shape", ["depth2", "depth3", "imbalanced", "(# #)"])
 def test_dp_bound_matches_its_recursion(shape):
-    # The leaf-adjacent scores, computed once per solve, give the bound of
-    # the recursion that derives every node's scores from the box.
+    # The leaf-adjacent scores, computed once per solve, and the scores that
+    # node states keep give the bound of the recursion that derives every
+    # node's scores from the box.
     from grouptree.topology import parse_shape
 
     topo = preset(shape) if shape in PRESET_SHAPES else parse_shape(shape)
@@ -1130,15 +1260,23 @@ def test_dp_bound_matches_its_recursion(shape):
         search = solver_mod._StructuredSearch(build_model(data, topo, cfg), SolveConfig())
         with pytest.raises(ValueError):
             search.leaf_adjacent_scores[0] = 1.0
-        for _ in range(8):
-            zlo = (gen.random((search.n_decl, search.d)) < 0.05).astype(np.int8)
-            zhi = np.maximum(zlo, gen.random(zlo.shape) < 0.7).astype(np.int8)
-            allowed = search._allowed(zlo, zhi)
-            if allowed is None:
+        zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
+        zhi = np.ones_like(zlo)
+        for box in range(16):
+            # every row drawn afresh, then every row but the first, so that
+            # the first node keeps its state while the others change
+            drawn = slice(box % 2, None)
+            zlo[drawn] = gen.random(zlo[drawn].shape) < 0.05
+            zhi[drawn] = np.maximum(zlo[drawn], gen.random(zlo[drawn].shape) < 0.7)
+            states = search._allowed(zlo, zhi)
+            if states is None:
                 continue
-            assert search._dp_bound(zhi, allowed) == _reference_dp_bound(search, zhi, allowed)
+            expected = _reference_dp_bound(search, zhi, [state.allowed for state in states])
+            assert search._dp_bound(states) == expected
+            # again, with the scores that the states kept from the first call
+            assert search._dp_bound(states) == expected
             checked += 1
-    assert checked >= 40
+    assert checked >= 80
 
 
 def test_structured_search_is_pinned(monkeypatch):
