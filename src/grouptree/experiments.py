@@ -69,9 +69,11 @@ def protocol_split(n_samples: int, seed: int, rng: SplitMix64 | None = None):
 
 
 def _fit(train: EncodedDataset, topology, config, solve_config):
-    """Lower to the integer program, solve it, read the tree back.
+    """Build the integer program, solve it, read the tree back.
 
-    Every protocol trains through here.  ``build_model``, ``solve_milp`` and
+    The structured search reads the model's variables, objective and build
+    structure, never its rows, so training does not lower them.  Every
+    protocol trains through here.  ``build_model``, ``solve_milp`` and
     ``extract_tree`` are module globals looked up at call time, so callers
     can wrap them in this module.
     """

@@ -1,8 +1,10 @@
 """Neutral integer-program representation of the tree-training problem.
 
 ``build_model`` lowers (dataset, topology, config) to named variables, linear
-rows, and an objective.  The representation is solver- and format-agnostic;
-``grouptree.mps`` serializes it and ``grouptree.solver`` optimizes it.
+rows, and an objective.  The rows are built the first time they are read:
+export and the LP engine read them, the structured search does not.  The
+representation is solver- and format-agnostic; ``grouptree.mps`` serializes
+it and ``grouptree.solver`` optimizes it.
 
 Naming scheme (all deterministic):
   variables  V_<node>_<group>, Z_<node>_<feature>, C_<sample>_<leaf>
@@ -17,6 +19,7 @@ are 0-based (schema/dataset ids).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -53,6 +56,15 @@ class BuildConfig:
         object.__setattr__(self, "class_weight", Fraction(self.class_weight))
         if self.class_weight <= 0:
             raise InvalidConfigError("class_weight must be positive")
+        # the objective reads it as a float, the structured search as a
+        # float numerator and denominator
+        try:
+            float(self.class_weight.numerator), float(self.class_weight.denominator)
+        except OverflowError:
+            raise InvalidConfigError(
+                "class_weight is too large or too small: its numerator and "
+                "denominator must each fit in a float"
+            ) from None
         if self.mode not in MODES:
             raise InvalidConfigError(f"mode must be one of {MODES}")
         if self.mode == "max_sensitivity":
@@ -103,6 +115,45 @@ class Constraint:
     rhs: float
 
 
+class _Rows(Sequence):
+    """A built model's rows, made by ``lower()`` the first time they are read.
+
+    Reads (``len``, iteration, indexing, ``==``) see the list that ``lower``
+    returns; it is made once and kept, and ``lower`` is then let go.
+    """
+
+    __slots__ = ("_lower", "_rows")
+
+    def __init__(self, lower: Callable[[], list[Constraint]]):
+        self._lower, self._rows = lower, None
+
+    def _built(self) -> list[Constraint]:
+        if self._rows is None:
+            self._rows, self._lower = self._lower(), None
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __iter__(self) -> Iterator[Constraint]:
+        return iter(self._built())
+
+    def __getitem__(self, at):
+        return self._built()[at]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Rows):
+            other = other._built()
+        return self._built() == other
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def __reduce__(self):
+        # ``lower`` is a local function: pickle and copy the rows as a list
+        return list, (self._built(),)
+
+
 @dataclass(frozen=True)
 class ModelStructure:
     """Link back to the problem a model was built from (not serialized)."""
@@ -117,7 +168,7 @@ class MilpModel:
     name: str
     sense: str  # "max" or "min"
     variables: list[Variable]
-    constraints: list[Constraint]
+    constraints: Sequence[Constraint]
     objective: tuple[tuple[str, float], ...]
     structure: ModelStructure | None = None
 
@@ -155,8 +206,12 @@ def build_model(
     variables tie samples to leaves; the objective counts samples routed to a
     leaf of their own class, negatives weighted by ``class_weight``.
 
-    Names and ``(name, coefficient)`` pairs are built once per call and
-    shared by every row that uses them; rows only assemble tuples of them.
+    Validation, the variables and the objective are done here; the rows are
+    built the first time they are read (``_Rows``), from values computed
+    here, so a caller that never reads them, such as the structured search,
+    never builds them.  Names and ``(name, coefficient)`` pairs are built
+    once per model and shared by every row that uses them; rows only
+    assemble tuples of them.
     """
     config = config or BuildConfig()
     schema = data.schema
@@ -171,9 +226,6 @@ def build_model(
     labels = data.labels.tolist()
     v_names = {k: [f"V_{k}_{g}" for g in groups] for k in nodes}
     z_names = {k: [f"Z_{k}_{j}" for j in range(d)] for k in nodes}
-    v_minus = {k: [(name, -1.0) for name in v_names[k]] for k in nodes}
-    z_plus = {k: [(name, 1.0) for name in z_names[k]] for k in nodes}
-    z_minus = {k: [(name, -1.0) for name in z_names[k]] for k in nodes}
     # the leaves each sample keeps a routing variable for, with its pairs
     pos_leaves, neg_leaves = topology.positive_leaves, topology.negative_leaves
     if config.drop_unused_c:
@@ -189,6 +241,9 @@ def build_model(
     cols = cols.tolist()
     ends = np.bincount(rows, minlength=n).cumsum().tolist()
     active = [cols[a:b] for a, b in zip([0] + ends, ends)]
+    group_of = [schema.group_of(j) for j in range(d)]
+    anchors = [schema.anchor_feature(g) for g in groups]
+    group_feats = [schema.features_of(g) for g in groups]
 
     # With the accuracy objective, integrality can be dropped everywhere
     # except the feature bits above the leaf-adjacent level.  The floored
@@ -208,86 +263,6 @@ def build_model(
         for name, _ in pairs.values()
     ]
 
-    constraints = [
-        Constraint(f"ONEGRP_{k}", tuple((name, 1.0) for name in v_names[k]), "=", 1.0)
-        for k in nodes
-    ]
-    group_of = [schema.group_of(j) for j in range(d)]
-    for k in nodes:
-        constraints += [
-            Constraint(f"LINK_{k}_{j}", (z_plus[k][j], v_minus[k][group_of[j]]), "<=", 0.0)
-            for j in range(d)
-        ]
-
-    if config.strengthen:
-        # per node, the sample's leaves below its left and its right branch
-        below = {
-            leaves: {
-                k: (
-                    [b for b in leaves if k in topology.left_path[b]],
-                    [b for b in leaves if k in topology.right_path[b]],
-                )
-                for k in nodes
-            }
-            for leaves in set(sample_leaves)
-        }
-        for i in range(n):
-            hot, pairs, sides = active[i], c_plus[i], below[sample_leaves[i]]
-            for k in nodes:
-                left_bs, right_bs = sides[k]
-                if left_bs:
-                    minus = z_minus[k]
-                    coeffs = tuple([pairs[b] for b in left_bs] + [minus[j] for j in hot])
-                    constraints.append(Constraint(f"LEFT_{i}_{k}", coeffs, "<=", 0.0))
-                if right_bs:
-                    plus = z_plus[k]
-                    coeffs = tuple([pairs[b] for b in right_bs] + [plus[j] for j in hot])
-                    constraints.append(Constraint(f"RIGHT_{i}_{k}", coeffs, "<=", 1.0))
-    else:
-        left_nodes = {b: sorted(topology.left_path[b]) for b in topology.leaves}
-        right_nodes = {b: sorted(topology.right_path[b]) for b in topology.leaves}
-        for i in range(n):
-            hot, pairs = active[i], c_plus[i]
-            for b, pair in pairs.items():
-                for k in left_nodes[b]:
-                    minus = z_minus[k]
-                    coeffs = tuple([pair] + [minus[j] for j in hot])
-                    constraints.append(Constraint(f"LEFTB_{i}_{k}_{b}", coeffs, "<=", 0.0))
-                for k in right_nodes[b]:
-                    plus = z_plus[k]
-                    coeffs = tuple([pair] + [plus[j] for j in hot])
-                    constraints.append(Constraint(f"RIGHTB_{i}_{k}_{b}", coeffs, "<=", 1.0))
-        if not config.drop_unused_c:
-            constraints += [
-                Constraint(f"PICK_{i}", tuple(pairs.values()), "=", 1.0)
-                for i, pairs in enumerate(c_plus)
-            ]
-
-    if config.anchor:
-        anchors = [schema.anchor_feature(g) for g in groups]
-        for k in sorted(topology.anchor_eligible):
-            constraints += [
-                Constraint(f"ANCH_{k}_{g}", (z_plus[k][anchors[g]], v_minus[k][g]), "=", 0.0)
-                for g in groups
-            ]
-
-    if config.forbid_trivial_branch:
-        for k in nodes:
-            for g in groups:
-                feats = schema.features_of(g)
-                z_terms = tuple(z_plus[k][j] for j in feats)
-                constraints.append(
-                    Constraint(f"MINPICK_{k}_{g}", z_terms + (v_minus[k][g],), ">=", 0.0)
-                )
-                constraints.append(
-                    Constraint(
-                        f"MAXPICK_{k}_{g}",
-                        z_terms + ((v_names[k][g], -(len(feats) - 1.0)),),
-                        "<=",
-                        0.0,
-                    )
-                )
-
     pos_terms = tuple(
         c_plus[i][b]
         for i, y in enumerate(labels)
@@ -301,24 +276,107 @@ def build_model(
         for b in neg_leaves
     )
     weight = float(config.class_weight)
+    spec = None  # the floor row's terms and right-hand side
     if config.mode == "accuracy":
         objective = pos_terms + tuple((name, weight) for name in neg_names)
     elif config.mode == "max_sensitivity":
-        floor = ceil(config.min_specificity * n_neg)
-        constraints.append(
-            Constraint("SPEC", tuple((name, 1.0) for name in neg_names), ">=", float(floor))
-        )
+        spec = tuple((name, 1.0) for name in neg_names), ceil(config.min_specificity * n_neg)
         objective = pos_terms
     else:  # max_specificity
-        floor = ceil(config.min_sensitivity * n_pos)
-        constraints.append(Constraint("SPEC", pos_terms, ">=", float(floor)))
+        spec = pos_terms, ceil(config.min_sensitivity * n_pos)
         objective = tuple((name, 1.0) for name in neg_names)
+
+    def lower() -> list[Constraint]:
+        v_minus = {k: [(name, -1.0) for name in v_names[k]] for k in nodes}
+        z_plus = {k: [(name, 1.0) for name in z_names[k]] for k in nodes}
+        z_minus = {k: [(name, -1.0) for name in z_names[k]] for k in nodes}
+        constraints = [
+            Constraint(f"ONEGRP_{k}", tuple((name, 1.0) for name in v_names[k]), "=", 1.0)
+            for k in nodes
+        ]
+        for k in nodes:
+            constraints += [
+                Constraint(f"LINK_{k}_{j}", (z_plus[k][j], v_minus[k][group_of[j]]), "<=", 0.0)
+                for j in range(d)
+            ]
+
+        if config.strengthen:
+            # per node, the sample's leaves below its left and its right branch
+            below = {
+                leaves: {
+                    k: (
+                        [b for b in leaves if k in topology.left_path[b]],
+                        [b for b in leaves if k in topology.right_path[b]],
+                    )
+                    for k in nodes
+                }
+                for leaves in set(sample_leaves)
+            }
+            for i in range(n):
+                hot, pairs, sides = active[i], c_plus[i], below[sample_leaves[i]]
+                for k in nodes:
+                    left_bs, right_bs = sides[k]
+                    if left_bs:
+                        minus = z_minus[k]
+                        coeffs = tuple([pairs[b] for b in left_bs] + [minus[j] for j in hot])
+                        constraints.append(Constraint(f"LEFT_{i}_{k}", coeffs, "<=", 0.0))
+                    if right_bs:
+                        plus = z_plus[k]
+                        coeffs = tuple([pairs[b] for b in right_bs] + [plus[j] for j in hot])
+                        constraints.append(Constraint(f"RIGHT_{i}_{k}", coeffs, "<=", 1.0))
+        else:
+            left_nodes = {b: sorted(topology.left_path[b]) for b in topology.leaves}
+            right_nodes = {b: sorted(topology.right_path[b]) for b in topology.leaves}
+            for i in range(n):
+                hot, pairs = active[i], c_plus[i]
+                for b, pair in pairs.items():
+                    for k in left_nodes[b]:
+                        minus = z_minus[k]
+                        coeffs = tuple([pair] + [minus[j] for j in hot])
+                        constraints.append(Constraint(f"LEFTB_{i}_{k}_{b}", coeffs, "<=", 0.0))
+                    for k in right_nodes[b]:
+                        plus = z_plus[k]
+                        coeffs = tuple([pair] + [plus[j] for j in hot])
+                        constraints.append(Constraint(f"RIGHTB_{i}_{k}_{b}", coeffs, "<=", 1.0))
+            if not config.drop_unused_c:
+                constraints += [
+                    Constraint(f"PICK_{i}", tuple(pairs.values()), "=", 1.0)
+                    for i, pairs in enumerate(c_plus)
+                ]
+
+        if config.anchor:
+            for k in sorted(topology.anchor_eligible):
+                constraints += [
+                    Constraint(f"ANCH_{k}_{g}", (z_plus[k][anchors[g]], v_minus[k][g]), "=", 0.0)
+                    for g in groups
+                ]
+
+        if config.forbid_trivial_branch:
+            for k in nodes:
+                for g in groups:
+                    feats = group_feats[g]
+                    z_terms = tuple(z_plus[k][j] for j in feats)
+                    constraints.append(
+                        Constraint(f"MINPICK_{k}_{g}", z_terms + (v_minus[k][g],), ">=", 0.0)
+                    )
+                    constraints.append(
+                        Constraint(
+                            f"MAXPICK_{k}_{g}",
+                            z_terms + ((v_names[k][g], -(len(feats) - 1.0)),),
+                            "<=",
+                            0.0,
+                        )
+                    )
+
+        if spec is not None:
+            constraints.append(Constraint("SPEC", spec[0], ">=", float(spec[1])))
+        return constraints
 
     return MilpModel(
         name=f"GT_{topology.name}_N{n}_d{d}",
         sense="max",
         variables=variables,
-        constraints=constraints,
+        constraints=_Rows(lower),
         objective=objective,
         structure=ModelStructure(data=data, topology=topology, config=config),
     )

@@ -412,19 +412,17 @@ class _NodeState:
     """What one branched node allows under one propagated box row.
 
     ``allowed`` holds ``(group, fixed features, free features)`` per allowed
-    group, ``count`` their number of tests, ``interval`` the DP branch
-    interval.  The first closure that needs them fills ``tests`` and each
-    test's 0/1 feature row ``member``; no field has a column per sample and
-    a row per test.  ``scores`` keeps the last DP scores with the children's
-    scores they came from.
+    group, ``count`` their number of tests.  The first closure that needs
+    them fills ``tests`` and each test's 0/1 feature row ``member``; no field
+    has a column per sample.
     """
 
-    __slots__ = ("allowed", "count", "interval", "tests", "member", "scores")
+    __slots__ = ("allowed", "count", "tests", "member")
 
-    def __init__(self, allowed, interval):
-        self.allowed, self.interval = allowed, interval
+    def __init__(self, allowed):
+        self.allowed = allowed
         self.count = sum(1 << len(free) for _, _, free in allowed)
-        self.tests = self.member = self.scores = None
+        self.tests = self.member = None
 
 
 class _StructuredSearch:
@@ -435,12 +433,14 @@ class _StructuredSearch:
     group, which zeroes every other group's bits there; anchored nodes must
     keep their group's anchor bit set.  Each branched node has one slot
     holding its state (``_NodeState``): which groups, and which fixed and
-    free features, it allows, its DP branch interval and, once a closure
-    needs them, its tests.  A search node derives a branched node's state
-    again only when that node's box row changed (``_allowed``); the bound,
-    the test count, the closure and the recovery all read the states.  Once
-    the number of remaining test assignments at the branched nodes is at
-    most a budget, the node is closed exactly.
+    free features, it allows and, once a closure needs them, its tests.  A
+    search node derives a branched node's state again only when that node's
+    box row changed (``_allowed``); the test count, the closure and the
+    recovery read the states.  A node's bound is its parent's, capped at
+    every sample correct: the leaf-adjacent tests are never branched, so any
+    box lets each sample reach a leaf of its class.  Once the number of
+    remaining test assignments at the branched nodes is at most a budget,
+    the node is closed exactly.
 
     The closure is the same in every mode; the mode is data fixed here:
     what a correct positive and a correct negative add to the objective
@@ -485,12 +485,12 @@ class _StructuredSearch:
             for g in range(self.n_groups)
         ]
         # per group, the feature id of each sample within it
-        self.fidx = np.zeros((self.n_groups, self.n), dtype=np.int64)
+        fidx = np.zeros((self.n_groups, self.n), dtype=np.int64)
         for g, feats in enumerate(self.group_feats):
-            self.fidx[g] = feats[np.argmax(self.data.matrix[:, feats], axis=1)]
+            fidx[g] = feats[np.argmax(self.data.matrix[:, feats], axis=1)]
         # per feature, 1 for the samples whose feature in its group it is
         self.feature_samples = np.zeros((self.d, self.n), dtype=np.float32)
-        self.feature_samples[self.fidx, np.arange(self.n)] = 1
+        self.feature_samples[fidx, np.arange(self.n)] = 1
         self.anchor = [self.schema.anchor_feature(g) for g in range(self.n_groups)]
         self.anchored = self.topo.anchor_eligible if self.bcfg.anchor else frozenset()
         self.group_of = np.array([self.schema.group_of(j) for j in range(self.d)])
@@ -520,19 +520,10 @@ class _StructuredSearch:
         )
         pos_w, neg_w = gain_pos / self.scale, gain_neg / self.scale
         self.sample_w = np.where(self.labels == 1, pos_w, neg_w)
-        # the DP bound's leaf scores by leaf parity: 2 where a sample's class
-        # is the leaf's (even leaves predict positive), else 0
-        self.leaf_scores = (
-            np.where(self.labels == 1, 2.0, 0.0),
-            np.where(self.labels == -1, 2.0, 0.0),
-        )
-        # a leaf-adjacent node's scores do not depend on the box: it may send
-        # any sample either way, to an odd (left) or an even (right) leaf
-        self.leaf_adjacent_scores = self._dp_best(
-            self.leaf_scores[1], self.leaf_scores[0], np.zeros(self.n), np.ones(self.n)
-        )
-        self.leaf_adjacent_scores.flags.writeable = False
         self.trivial_bound = float(n_pos * pos_w + n_neg * neg_w)
+        # the cap on every node's bound: every sample correct.  The root's
+        # bound is ``trivial_bound``; the two sums may differ in the last bit
+        self.all_correct = float(np.dot(self.sample_w, np.ones(self.n)))
         forbid = self.bcfg.forbid_trivial_branch
         # final knapsack states [some feature went left, some went right]
         self.accept = np.array([[False, not forbid], [not forbid, True]])
@@ -577,14 +568,15 @@ class _StructuredSearch:
         return _best_first(self, root, self.trivial_bound)
 
     def bound(self, box, parent_bound):
-        """Propagate the box in place; the DP bound unless some node allows no test.
+        """Propagate the box in place; None if some node allows no test.
 
-        The branched nodes' states are the work handed on to ``split``.
+        Else the bound is the parent's, capped at every sample correct, and
+        the branched nodes' states are the work handed on to ``split``.
         """
         states = self._allowed(*box)
         if states is None:
             return None
-        return min(parent_bound, self._dp_bound(states)), None, states
+        return min(parent_bound, self.all_correct), None, states
 
     def split(self, box, states):
         """Close the box exactly if it holds few enough tests, else branch a bit."""
@@ -677,13 +669,7 @@ class _StructuredSearch:
             allowed.append((g, feats[fixed].tolist(), feats[free].tolist()))
         if not allowed:
             return None
-        # the DP branch interval, per sample: 1 if the node surely sends it
-        # left (its feature is fixed in every allowed group), 1 if it may
-        surely = np.zeros(self.d, dtype=bool)
-        surely[[j for _, fixed, _ in allowed for j in fixed]] = True
-        surely_left = surely[self.fidx[[g for g, _, _ in allowed]]].all(axis=0)
-        may_left = np.max(hi[self.fidx], axis=0)
-        return _NodeState(allowed, (surely_left.astype(float), may_left.astype(float)))
+        return _NodeState(allowed)
 
     def _tested(self, state):
         """``state`` with its tests filled in once, in a fixed order.
@@ -728,38 +714,6 @@ class _StructuredSearch:
             k: k.to_bytes(4, "little") + np.packbits([zlo[rows], zhi[rows]]).tobytes()
             for k, rows in self.subtree_rows.items()
         }
-
-    # -- per-sample relaxation bound ------------------------------------------
-
-    def _dp_bound(self, states) -> float:
-        """Valid upper bound: each sample routed as well as its boxes allow."""
-        h = np.minimum(self._dp_scores(("node", self.topo.root), states), 1.0)
-        return float(np.dot(self.sample_w, h))
-
-    def _dp_scores(self, child, states) -> np.ndarray:
-        # a method, not a nested function: a self-referencing closure would
-        # keep the search, and its model, alive until the cyclic collector runs
-        kind, kk = child
-        if kind == "leaf":
-            return self.leaf_scores[kk % 2]
-        if kk in self.topo.leaf_adjacent:
-            return self.leaf_adjacent_scores
-        state = states[self.decl_pos[kk]]
-        hl, hr = (self._dp_scores(c, states) for c in self.topo.children[kk])
-        # the state keeps its scores with the children's scores they came
-        # from; score arrays are never changed in place
-        if state.scores is None or state.scores[0] is not hl or state.scores[1] is not hr:
-            state.scores = hl, hr, self._dp_best(hl, hr, *state.interval)
-        return state.scores[2]
-
-    @staticmethod
-    def _dp_best(hl, hr, lo, hi) -> np.ndarray:
-        """Per sample, the best score over a node's branch interval ``[lo, hi]``."""
-        best = None
-        for cand in (lo, hi, np.clip(hl, lo, hi), np.clip(1.0 - hr, lo, hi)):
-            val = np.minimum(cand, hl) + np.minimum(1.0 - cand, hr)
-            best = val if best is None else np.maximum(best, val)
-        return best
 
     # -- closure: one exact table kernel for every mode ---------------------
     #

@@ -137,6 +137,13 @@ def test_invalid_limit_is_reported(toy, capsys, flag, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["1e400", "1e-400"])
+def test_class_weight_beyond_a_float_is_reported(toy, capsys, weight):
+    code = main(["train", "--data", str(toy), "--label-col", "grade", "--class-weight", weight])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: class_weight")
+
+
 def test_infeasible_training_is_reported(tmp_path, capsys):
     # one category and trivial tests forbidden: no tree exists
     path = tmp_path / "one.csv"

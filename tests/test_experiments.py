@@ -13,7 +13,7 @@ from grouptree.experiments import (
     sensitivity_sweep,
     train_test_run,
 )
-from grouptree.model import BuildConfig, build_model
+from grouptree.model import BuildConfig, Constraint, build_model
 from grouptree.oracle import enumerate_optimal
 from grouptree.rng import SplitMix64
 from grouptree.solver import INFEASIBLE, solve_milp
@@ -173,3 +173,25 @@ def test_monks3_small_run_reaches_perfection():
     data = encode(table, build_schema(table))
     run = train_test_run(data, preset("depth3"), seed=0)
     assert run.train_metrics.accuracy == 1.0
+
+
+def test_training_lowers_no_rows(monkeypatch):
+    # The structured search reads a model's variables, objective and build
+    # structure; no protocol makes a single row.
+    import grouptree.model as model_mod
+
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[0])
+        return Constraint(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "Constraint", counted)
+    data = random_dataset(random.Random(16), 30, [2, 3, 2])
+    assert set(data.labels.tolist()) == {-1, 1}
+    train_test_run(data, preset("depth2"), seed=1)
+    cross_validate_topology(data, [preset("depth2"), preset("depth2_5")], seed=1)
+    sensitivity_sweep(data, preset("depth2"), [Fraction(1, 2), Fraction(1)], seed=1)
+    assert made == []
+    # the count does see the rows of a model that something reads
+    assert len(build_model(data, preset("depth2")).constraints) == len(made) > 0

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from grouptree.datasets import monks, tic_tac_toe
 from grouptree.encoding import build_schema, encode
 from grouptree.errors import EmptyClassError, InvalidConfigError
 from grouptree.experiments import protocol_split
-from grouptree.model import BuildConfig, build_model, model_stats
+from grouptree.model import BuildConfig, Constraint, build_model, model_stats
 from grouptree.mps import export_lp, export_mps
 from grouptree.topology import PRESET_SHAPES, preset
 from tests.conftest import random_dataset
@@ -120,6 +122,7 @@ def test_spec_floor_value(rng):
 
 
 def test_empty_class_error(rng):
+    # raised by build_model itself, before any row is read
     data = random_dataset(rng, 10, [2, 2], labels=[1] * 10)
     with pytest.raises(EmptyClassError):
         build_model(
@@ -127,11 +130,24 @@ def test_empty_class_error(rng):
             preset("depth2"),
             BuildConfig(mode="max_sensitivity", min_specificity=Fraction(1, 2)),
         )
+    data = random_dataset(rng, 10, [2, 2], labels=[-1] * 10)
+    with pytest.raises(EmptyClassError):
+        build_model(
+            data,
+            preset("depth2"),
+            BuildConfig(mode="max_specificity", min_sensitivity=Fraction(1, 2)),
+        )
 
 
 def test_invalid_configs():
     with pytest.raises(InvalidConfigError):
         BuildConfig(class_weight=0)
+    # a weight whose numerator or denominator does not fit in a float
+    for weight in ("1e400", "1e-400", Fraction(10**400 + 1, 10**400)):
+        with pytest.raises(InvalidConfigError, match="class_weight"):
+            BuildConfig(class_weight=Fraction(weight))
+    BuildConfig(class_weight=Fraction("1e300"))
+    BuildConfig(class_weight=Fraction("1e-300"))
     with pytest.raises(InvalidConfigError):
         BuildConfig(mode="max_sensitivity", min_specificity=Fraction(3, 2))
     with pytest.raises(InvalidConfigError):
@@ -232,3 +248,57 @@ def test_monks1_imbalanced_size_is_pinned():
     data = pinned_inputs()["monks1-split1"]
     stats = model_stats(build_model(data, preset("imbalanced")))
     assert (stats["rows"], stats["nonzeros"]) == (4022, 28689)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        BuildConfig(),
+        BuildConfig(strengthen=False, drop_unused_c=False, forbid_trivial_branch=True),
+        BuildConfig(mode="max_sensitivity", min_specificity=Fraction(1, 2)),
+    ],
+    ids=["default", "basic-forbid", "max-sensitivity"],
+)
+def test_rows_built_on_first_read_behave_like_a_list(cfg):
+    # A built model's rows are made the first time they are read; every kind
+    # of read gives the rows of a plain list, and of a second build.
+    data = monks_data(n=60)
+    plain = list(build_model(data, preset("depth2_5"), cfg).constraints)
+    assert type(plain[0]) is Constraint and len(plain) > 100
+    model = build_model(data, preset("depth2_5"), cfg)
+    other = build_model(data, preset("depth2_5"), cfg)
+    assert model.constraints == other.constraints  # both unread until here
+    assert model.constraints == plain and plain == model.constraints
+    assert not model.constraints != plain
+    assert model.constraints != plain[:-1] and model.constraints != tuple(plain)
+    assert len(model.constraints) == len(plain)
+    assert list(model.constraints) == [row for row in model.constraints] == plain
+    assert model.constraints[0] == plain[0] and model.constraints[-1] == plain[-1]
+    assert model.constraints[3:9] == plain[3:9]
+    # the rows are made once and kept
+    assert all(a is b for a, b in zip(model.constraints, model.constraints))
+    assert export_mps(model) == export_mps(other)
+    fresh = build_model(data, preset("depth2_5"), cfg)
+    assert pickle.loads(pickle.dumps(fresh)).constraints == plain
+    assert copy.deepcopy(build_model(data, preset("depth2_5"), cfg)).constraints == plain
+
+
+def test_rows_are_those_of_the_data_at_the_call():
+    data = monks_data(n=20)
+    plain = list(build_model(data, preset("depth2"), BuildConfig()).constraints)
+    copy = data.subset(range(data.n_samples))
+    model = build_model(copy, preset("depth2"), BuildConfig())
+    copy.matrix.setflags(write=True)
+    copy.matrix[:] = 0  # the rows never read the data again
+    assert model.constraints == plain
+
+
+def test_reassigned_rows_are_used():
+    data = monks_data(n=12)
+    model = build_model(data, preset("depth2"))
+    extra = Constraint("EXTRA", (("V_1_0", 1.0),), "<=", 1.0)
+    rows = list(model.constraints)
+    model.constraints = list(model.constraints) + [extra]
+    assert model.constraints == rows + [extra]
+    assert model_stats(model)["rows"] == len(rows) + 1
+    assert " EXTRA" in export_mps(model)

@@ -1120,8 +1120,7 @@ def test_go_left_follows_its_definition():
     f = schema.features_of(1)[0]
     by_hand = solver_mod._NodeState(
         [(2, [], []), (1, [f], []), (root[-1][0], list(root[-1][1]), []),
-         (anchored[0][0], list(anchored[0][1]), [])],
-        None,
+         (anchored[0][0], list(anchored[0][1]), [])]
     )
     assert search._tested(by_hand).tests == [(2, ()), (1, (f,)), root[-1], anchored[0]]
     check(by_hand, slice(None))
@@ -1188,11 +1187,10 @@ def test_node_state_reuse_is_exact(monkeypatch):
 
 
 def test_node_states_hold_no_per_sample_matrix(monkeypatch):
-    # A state keeps per-sample vectors (the DP interval and scores) and, per
-    # test, a row over the features; never a tests x samples array.  The
-    # instance has a 17-category group: the whole solve, then a search whose
-    # root box keeps 14 of its categories, the anchor fixed, so that its one
-    # closure holds thousands of tests.
+    # A state keeps, per test, a row over the features; never a tests x
+    # samples array.  The instance has a 17-category group: the whole solve,
+    # then a search whose root box keeps 14 of its categories, the anchor
+    # fixed, so that its one closure holds thousands of tests.
     data = random_dataset(random.Random(5), 40, [2, 3, 17])
     cfg = BuildConfig(mode="max_sensitivity", min_specificity=Fraction(1, 2),
                       forbid_trivial_branch=True)
@@ -1211,42 +1209,16 @@ def test_node_states_hold_no_per_sample_matrix(monkeypatch):
     states = [state for state in states if state is not None]
     assert max(len(state.tests or ()) for state in states) > 8000
     for state in states:
-        arrays = [state.member, *(state.scores or ()), *(state.interval or ())]
-        for array in arrays:
-            if array is not None:
-                assert array.ndim == 1 or array.shape[1] == search.d != data.n_samples
-
-
-def _reference_dp_bound(search, zhi, allowed):
-    """Test-local reference: the DP bound's recursion, every node from its box."""
-
-    def scores(child):
-        kind, k = child
-        if kind == "leaf":
-            return search.leaf_scores[k % 2]
-        hl, hr = (scores(c) for c in search.topo.children[k])
-        lo, hi = np.zeros(search.n), np.ones(search.n)
-        if k in search.decl_pos:
-            node = allowed[search.decl_pos[k]]
-            surely = np.zeros(search.d, dtype=bool)
-            surely[[j for _, fixed, _ in node for j in fixed]] = True
-            lo = surely[search.fidx[[g for g, _, _ in node]]].all(axis=0).astype(float)
-            hi = np.max(zhi[search.decl_pos[k]][search.fidx], axis=0).astype(float)
-        best = None
-        for cand in (lo, hi, np.clip(hl, lo, hi), np.clip(1.0 - hr, lo, hi)):
-            val = np.minimum(cand, hl) + np.minimum(1.0 - cand, hr)
-            best = val if best is None else np.maximum(best, val)
-        return best
-
-    h = np.minimum(scores(("node", search.topo.root)), 1.0)
-    return float(np.dot(search.sample_w, h))
+        if state.member is not None:
+            assert state.member.shape[1] == search.d != data.n_samples
 
 
 @pytest.mark.parametrize("shape", ["depth2", "depth3", "imbalanced", "(# #)"])
-def test_dp_bound_matches_its_recursion(shape):
-    # The leaf-adjacent scores, computed once per solve, and the scores that
-    # node states keep give the bound of the recursion that derives every
-    # node's scores from the box.
+def test_node_bound_is_every_sample_correct(shape):
+    # A leaf-adjacent node may send any sample to either leaf, so no box
+    # keeps a sample from a leaf of its class: every node's bound is its
+    # parent's, capped at every sample correct, summed over the samples'
+    # weights, and never below the optimum.
     from grouptree.topology import parse_shape
 
     topo = preset(shape) if shape in PRESET_SHAPES else parse_shape(shape)
@@ -1257,9 +1229,16 @@ def test_dp_bound_matches_its_recursion(shape):
         data = random_dataset(rng, rng.randrange(8, 30), [rng.randint(1, 4) for _ in range(3)])
         cfg = (BuildConfig(class_weight=Fraction(3, 2)), BuildConfig(anchor=False),
                BuildConfig(mode="max_specificity", min_sensitivity=Fraction(1, 2)))[t % 3]
-        search = solver_mod._StructuredSearch(build_model(data, topo, cfg), SolveConfig())
-        with pytest.raises(ValueError):
-            search.leaf_adjacent_scores[0] = 1.0
+        model = build_model(data, topo, cfg)
+        search = solver_mod._StructuredSearch(model, SolveConfig())
+        weights = {"accuracy": (1.0, 1.5 if t % 3 == 0 else 1.0),
+                   "max_specificity": (0.0, 1.0)}[cfg.mode]
+        sample_w = np.where(data.labels == 1, *weights)
+        c = float(np.dot(sample_w, np.ones(data.n_samples)))
+        assert c == pytest.approx(search.trivial_bound, rel=1e-12)
+        result = solve_milp(model)
+        if result.status == OPTIMAL:
+            assert result.objective <= c + 1e-9
         zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
         zhi = np.ones_like(zlo)
         for box in range(16):
@@ -1268,13 +1247,11 @@ def test_dp_bound_matches_its_recursion(shape):
             drawn = slice(box % 2, None)
             zlo[drawn] = gen.random(zlo[drawn].shape) < 0.05
             zhi[drawn] = np.maximum(zlo[drawn], gen.random(zlo[drawn].shape) < 0.7)
-            states = search._allowed(zlo, zhi)
-            if states is None:
+            bounded = search.bound((zlo, zhi), np.inf)
+            if bounded is None:
                 continue
-            expected = _reference_dp_bound(search, zhi, [state.allowed for state in states])
-            assert search._dp_bound(states) == expected
-            # again, with the scores that the states kept from the first call
-            assert search._dp_bound(states) == expected
+            assert bounded[0] == c
+            assert search.bound((zlo, zhi), c - 1)[0] == c - 1
             checked += 1
     assert checked >= 80
 
