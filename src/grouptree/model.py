@@ -56,8 +56,8 @@ class BuildConfig:
         object.__setattr__(self, "class_weight", Fraction(self.class_weight))
         if self.class_weight <= 0:
             raise InvalidConfigError("class_weight must be positive")
-        # the objective reads it as a float, the structured search as a
-        # float numerator and denominator
+        # both engines read its numerator and denominator as floats;
+        # ``objective`` checks their sums over the classes of the data
         try:
             float(self.class_weight.numerator), float(self.class_weight.denominator)
         except OverflowError:
@@ -79,6 +79,33 @@ class BuildConfig:
             object.__setattr__(self, "min_sensitivity", Fraction(self.min_sensitivity))
             if not 0 <= self.min_sensitivity <= 1:
                 raise InvalidConfigError("min_sensitivity must be in [0, 1]")
+
+    def objective(self, n_pos: int, n_neg: int) -> tuple[int, int, int, int, int]:
+        """This mode for ``n_pos`` positives and ``n_neg`` negatives.
+
+        Returns ``(gain_pos, gain_neg, scale, floored, floor)``: a correct
+        positive adds ``gain_pos / scale`` to the objective, a correct
+        negative ``gain_neg / scale``, and at least ``floor`` samples labelled
+        ``floored`` must be correct (both 0 in accuracy mode).  This is the
+        one definition that ``build_model`` and the structured search read.
+        Raises ``InvalidConfigError`` when the sum of the gains over every
+        sample does not convert to a float.
+        """
+        weight = self.class_weight
+        if self.mode == "accuracy":
+            goal = weight.denominator, weight.numerator, weight.denominator, 0, 0
+        elif self.mode == "max_sensitivity":
+            goal = 1, 0, 1, -1, ceil(self.min_specificity * n_neg)
+        else:
+            goal = 0, 1, 1, 1, ceil(self.min_sensitivity * n_pos)
+        try:
+            float(n_pos * goal[0] + n_neg * goal[1])
+        except OverflowError:
+            raise InvalidConfigError(
+                f"class_weight is too large or too small for {n_pos} positives "
+                f"and {n_neg} negatives: its weighted sums overflow a float"
+            ) from None
+        return goal
 
     def as_dict(self) -> dict:
         return {
@@ -203,10 +230,13 @@ def build_model(
 
     Per decision node, exactly one group is selected and a feature subset of
     it; a sample goes left when its active feature is in the subset.  Routing
-    variables tie samples to leaves; the objective counts samples routed to a
-    leaf of their own class, negatives weighted by ``class_weight``.
+    variables tie samples to leaves; the objective weighs the samples routed
+    to a leaf of their own class, and the ``SPEC`` row floors one class, as
+    ``config.objective`` defines them.
 
-    Validation, the variables and the objective are done here; the rows are
+    Validation, the variables and the objective are done here, so a
+    ``class_weight`` whose weighted sums overflow a float is rejected at the
+    call with ``InvalidConfigError``; the rows are
     built the first time they are read (``_Rows``), from values computed
     here, so a caller that never reads them, such as the structured search,
     never builds them.  Names and ``(name, coefficient)`` pairs are built
@@ -263,28 +293,16 @@ def build_model(
         for name, _ in pairs.values()
     ]
 
-    pos_terms = tuple(
-        c_plus[i][b]
-        for i, y in enumerate(labels)
-        if y == 1
-        for b in pos_leaves
-    )
-    neg_names = tuple(
-        c_plus[i][b][0]
-        for i, y in enumerate(labels)
-        if y == -1
-        for b in neg_leaves
-    )
-    weight = float(config.class_weight)
-    spec = None  # the floor row's terms and right-hand side
-    if config.mode == "accuracy":
-        objective = pos_terms + tuple((name, weight) for name in neg_names)
-    elif config.mode == "max_sensitivity":
-        spec = tuple((name, 1.0) for name in neg_names), ceil(config.min_specificity * n_neg)
-        objective = pos_terms
-    else:  # max_specificity
-        spec = pos_terms, ceil(config.min_sensitivity * n_pos)
-        objective = tuple((name, 1.0) for name in neg_names)
+    # the routing variables that count a sample correct, per label
+    correct = {
+        label: tuple(
+            c_plus[i][b][0] for i, y in enumerate(labels) if y == label for b in leaves
+        )
+        for label, leaves in ((1, pos_leaves), (-1, neg_leaves))
+    }
+    gain_pos, gain_neg, scale, floored, floor = config.objective(n_pos, n_neg)
+    terms = (correct[1], gain_pos / scale), (correct[-1], gain_neg / scale)
+    objective = tuple((name, coef) for names, coef in terms if coef for name in names)
 
     def lower() -> list[Constraint]:
         v_minus = {k: [(name, -1.0) for name in v_names[k]] for k in nodes}
@@ -368,8 +386,9 @@ def build_model(
                         )
                     )
 
-        if spec is not None:
-            constraints.append(Constraint("SPEC", spec[0], ">=", float(spec[1])))
+        if floored:
+            spec = tuple((name, 1.0) for name in correct[floored])
+            constraints.append(Constraint("SPEC", spec, ">=", float(floor)))
         return constraints
 
     return MilpModel(

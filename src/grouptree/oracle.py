@@ -85,43 +85,31 @@ def enumerate_optimal(
         tree = _as_tree(topology, schema, tests)
         return value, tree
 
-    if mode == "max_sensitivity":
-        if min_specificity is None:
-            raise InvalidConfigError("max_sensitivity mode needs min_specificity")
-        floor = ceil(Fraction(min_specificity) * neg_mask.bit_count())
-        table = _search_pareto(
-            topology, schema, feature_mask, pos_mask, neg_mask, key_is_tn=True
-        )
-        best = None
-        for tn in sorted(table):
-            if tn < floor:
-                continue
-            tp, tests = table[tn]
-            if best is None or tp > best[0]:
-                best = (tp, tests)
-        if best is None:
-            raise InfeasibleError(f"no tree reaches {floor} correct negatives")
-        return best[0], _as_tree(topology, schema, best[1])
-
-    if mode == "max_specificity":
-        if min_sensitivity is None:
-            raise InvalidConfigError("max_specificity mode needs min_sensitivity")
-        floor = ceil(Fraction(min_sensitivity) * pos_mask.bit_count())
-        table = _search_pareto(
-            topology, schema, feature_mask, pos_mask, neg_mask, key_is_tn=False
-        )
-        best = None
-        for tp in sorted(table):
-            if tp < floor:
-                continue
-            tn, tests = table[tp]
-            if best is None or tn > best[0]:
-                best = (tn, tests)
-        if best is None:
-            raise InfeasibleError(f"no tree reaches {floor} correct positives")
-        return best[0], _as_tree(topology, schema, best[1])
-
-    raise InvalidConfigError(f"unknown mode {mode!r}")
+    # the floored modes: the rate's name, the rate, the floored class, its noun
+    floored = {
+        "max_sensitivity": ("min_specificity", min_specificity, neg_mask, "negatives"),
+        "max_specificity": ("min_sensitivity", min_sensitivity, pos_mask, "positives"),
+    }
+    if mode not in floored:
+        raise InvalidConfigError(f"unknown mode {mode!r}")
+    rate_name, rate, floored_mask, noun = floored[mode]
+    if rate is None:
+        raise InvalidConfigError(f"{mode} mode needs {rate_name}")
+    floor = ceil(Fraction(rate) * floored_mask.bit_count())
+    table = _search_pareto(
+        topology, schema, feature_mask, pos_mask, neg_mask,
+        key_is_tn=mode == "max_sensitivity",
+    )
+    best = None
+    for key in sorted(table):
+        if key < floor:
+            continue
+        value, tests = table[key]
+        if best is None or value > best[0]:
+            best = (value, tests)
+    if best is None:
+        raise InfeasibleError(f"no tree reaches {floor} correct {noun}")
+    return best[0], _as_tree(topology, schema, best[1])
 
 
 def _subsets(schema: GroupSchema, routed: int, feature_mask: list[int]):

@@ -94,7 +94,6 @@ class SolveResult:
     assignment: dict[str, float] = field(default_factory=dict)
     nodes_processed: int = 0
     lp_iterations: int = 0
-    wall_time: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -265,19 +264,14 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
             counter += 1
             heapq.heappush(heap, (-bound, -counter, child))
 
-    elapsed = time.perf_counter() - start
     if unbounded:
-        return SolveResult(
-            UNBOUNDED, None, np.inf, {}, nodes, engine.iterations, elapsed
-        )
+        return SolveResult(UNBOUNDED, None, np.inf, {}, nodes, engine.iterations)
     if best_at is None:
         if hit_limit:
             raise TimeLimitNoIncumbentError(
                 f"no feasible solution within limits ({nodes} nodes)"
             )
-        return SolveResult(
-            INFEASIBLE, None, -np.inf, {}, nodes, engine.iterations, elapsed
-        )
+        return SolveResult(INFEASIBLE, None, -np.inf, {}, nodes, engine.iterations)
     bound = best
     if hit_limit:
         bound = max(best, max(-b for b, _, _ in heap))
@@ -289,7 +283,6 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
         engine.assignment(best_at),
         nodes,
         engine.iterations,
-        elapsed,
     )
 
 
@@ -428,30 +421,33 @@ class _NodeState:
 class _StructuredSearch:
     """Branch over the integral feature bits of a built model.
 
-    A search node is a box of per-(decision node, feature) 0/1 bounds on the
-    branched (non-leaf-adjacent) nodes.  Fixing a bit to 1 pins that node's
-    group, which zeroes every other group's bits there; anchored nodes must
-    keep their group's anchor bit set.  Each branched node has one slot
-    holding its state (``_NodeState``): which groups, and which fixed and
-    free features, it allows and, once a closure needs them, its tests.  A
-    search node derives a branched node's state again only when that node's
-    box row changed (``_allowed``); the test count, the closure and the
-    recovery read the states.  A node's bound is its parent's, capped at
-    every sample correct: the leaf-adjacent tests are never branched, so any
+    A search node is ``(zlo, zhi, states, changed)``: a box of
+    per-(decision node, feature) 0/1 bounds on the branched
+    (non-leaf-adjacent) nodes, each branched node's state (``_NodeState``:
+    which groups, and which fixed and free features, it allows and, once a
+    closure needs them, its tests), and the rows whose states are still to
+    be derived.  Fixing a bit to 1 pins that node's group, which zeroes every
+    other group's bits there; anchored nodes must keep their group's anchor
+    bit set.  The root derives every row; a child carries its parent's
+    states and derives again only the row it branched on (``_derive``).  The
+    test count, the closure and the recovery read the states.  A node's
+    bound is its parent's, capped at every sample correct (``all_correct``,
+    one exact constant): the leaf-adjacent tests are never branched, so any
     box lets each sample reach a leaf of its class.  Once the number of
     remaining test assignments at the branched nodes is at most a budget,
     the node is closed exactly.
 
-    The closure is the same in every mode; the mode is data fixed here:
-    what a correct positive and a correct negative add to the objective
-    (integers over ``scale``), which of them counts towards the floor, and
-    the floor (0 in accuracy mode).  Every subtree gets one table per routed
-    sample set: the best objective with at least ``t`` floored-class samples
-    correct, for ``t = 0 .. floor``.  Leaf-adjacent tables come per group
-    from a knapsack over the features (``_group_tables``), or in closed form
-    when the floor is 0 (``_leaf_tables``).  A branched node sends the child
-    sample sets of all of its tests through its children as one batch and
-    merges their tables (``_merge``).  Every subtree's tables but the root's
+    The closure is the same in every mode; the mode is data read once from
+    ``BuildConfig.objective``: what a correct positive and a correct
+    negative add to the objective (integers over ``scale``), which of them
+    counts towards the floor, and the floor (0 in accuracy mode).  Every
+    subtree gets one table per routed sample set: the best objective with
+    at least ``t`` floored-class samples correct, for ``t = 0 .. floor``.
+    Leaf-adjacent tables come per group from a knapsack over the features
+    (``_group_tables``), or in closed form when the floor is 0
+    (``_leaf_tables``).  A branched node sends the child sample sets of all
+    of its tests through its children as one batch and merges their tables
+    (``_merge``).  Every subtree's tables but the root's
     are served from one per-solve store of tables (``_stored``), keyed by the
     routed set and, at a branched node, by the box rows that fix its
     subtree's tests, so each distinct table is computed once per solve.  The
@@ -495,35 +491,15 @@ class _StructuredSearch:
         self.anchored = self.topo.anchor_eligible if self.bcfg.anchor else frozenset()
         self.group_of = np.array([self.schema.group_of(j) for j in range(self.d)])
 
-        # Each mode as data.  A correct positive sits in a right (even) leaf,
-        # a correct negative in a left (odd) one.  ``gain_*`` is what each adds
-        # to the objective, in integers: the objective is their sum over
-        # ``scale``.  ``counted_*`` is whether it is of the floored class.
-        weight, mode = self.bcfg.class_weight, self.bcfg.mode
+        # The mode as data (``BuildConfig.objective``): a correct positive
+        # sits in a right (even) leaf, a correct negative in a left (odd) one
         n_neg = int((self.labels == -1).sum())
         n_pos = self.n - n_neg
-        if mode == "accuracy":
-            gain_pos, gain_neg = weight.denominator, weight.numerator
-            counted_pos = counted_neg = 0
-            self.floor = 0
-        elif mode == "max_sensitivity":
-            gain_pos, gain_neg = 1, 0
-            counted_pos, counted_neg = 0, 1
-            self.floor = ceil(self.bcfg.min_specificity * n_neg)
-        else:
-            gain_pos, gain_neg = 0, 1
-            counted_pos, counted_neg = 1, 0
-            self.floor = ceil(self.bcfg.min_sensitivity * n_pos)
-        self.scale = weight.denominator if mode == "accuracy" else 1
-        self.enum_budget = (
-            ENUM_BUDGET if mode == "accuracy" else ENUM_BUDGET_CONSTRAINED
-        )
-        pos_w, neg_w = gain_pos / self.scale, gain_neg / self.scale
-        self.sample_w = np.where(self.labels == 1, pos_w, neg_w)
-        self.trivial_bound = float(n_pos * pos_w + n_neg * neg_w)
-        # the cap on every node's bound: every sample correct.  The root's
-        # bound is ``trivial_bound``; the two sums may differ in the last bit
-        self.all_correct = float(np.dot(self.sample_w, np.ones(self.n)))
+        gain_pos, gain_neg, self.scale, floored, self.floor = self.bcfg.objective(n_pos, n_neg)
+        self.enum_budget = ENUM_BUDGET_CONSTRAINED if floored else ENUM_BUDGET
+        # the root's bound and every node's cap: exactly what a closure
+        # scores for a tree that gets every sample right
+        self.all_correct = (n_pos * gain_pos + n_neg * gain_neg) / self.scale
         forbid = self.bcfg.forbid_trivial_branch
         # final knapsack states [some feature went left, some went right]
         self.accept = np.array([[False, not forbid], [not forbid, True]])
@@ -540,9 +516,10 @@ class _StructuredSearch:
         # float32 class counts are exact below 2**24 samples
         count_type = np.float32 if self.n < 1 << 24 else float
         self.columns = np.hstack([slot_cols * ~pos, slot_cols * pos]).astype(count_type)
-        # routed [negatives, positives] per slot -> left/right gain, left/right count
+        # routed [negatives, positives] per slot -> left/right gain, left/right
+        # count of the floored class
         self.side_weights = np.array(
-            [[gain_neg, gain_pos], [counted_neg, counted_pos]], dtype=float
+            [[gain_neg, gain_pos], [floored == -1, floored == 1]], dtype=float
         )
         self.leaf_rows = max(
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
@@ -550,8 +527,6 @@ class _StructuredSearch:
         # per branched node below the root, the positions of the branched
         # nodes in its subtree: their box rows fix the subtree's tests
         self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl if k != self.topo.root}
-        # per branched node, the propagated row its state was derived from
-        self.slots = [(None, None)] * self.n_decl
         # subtree tables of the masks routed so far: signature + packed mask -> row
         self.store_index: dict[bytes, int] = {}
         self.store_best = np.empty((0, self.floor + 1))
@@ -561,26 +536,32 @@ class _StructuredSearch:
     # -- node work for the shared loop ----------------------------------------
 
     def run(self) -> SolveResult:
-        root = (
-            np.zeros((self.n_decl, self.d), dtype=np.int8),
-            np.ones((self.n_decl, self.d), dtype=np.int8),
-        )
-        return _best_first(self, root, self.trivial_bound)
+        zlo = np.zeros((self.n_decl, self.d), dtype=np.int8)
+        root = (zlo, np.ones_like(zlo), [None] * self.n_decl, range(self.n_decl))
+        return _best_first(self, root, self.all_correct)
 
-    def bound(self, box, parent_bound):
-        """Propagate the box in place; None if some node allows no test.
+    def bound(self, node, parent_bound):
+        """Derive the node's changed rows in place; None if some node allows no test.
 
-        Else the bound is the parent's, capped at every sample correct, and
-        the branched nodes' states are the work handed on to ``split``.
+        The other branched nodes keep the states that came with the node.
+        The bound is the parent's, capped at every sample correct, and the
+        states are the work handed on to ``split``.
         """
-        states = self._allowed(*box)
-        if states is None:
-            return None
+        zlo, zhi, states, changed = node
+        states = list(states)
+        for p in changed:
+            states[p] = self._derive(p, zlo[p], zhi[p])
+            if states[p] is None:
+                return None
         return min(parent_bound, self.all_correct), None, states
 
-    def split(self, box, states):
-        """Close the box exactly if it holds few enough tests, else branch a bit."""
-        zlo, zhi = box
+    def split(self, node, states):
+        """Close the box exactly if it holds few enough tests, else branch a bit.
+
+        Both children carry ``states``: they differ from it in the branched
+        row only.
+        """
+        zlo, zhi = node[:2]
         count = prod(state.count for state in states)
         bit = self._branch_bit(zlo, zhi) if count > self.enum_budget else None
         if bit is None:
@@ -597,7 +578,11 @@ class _StructuredSearch:
         child_hi[p_star, j_star] = 0
         child_lo = zlo.copy()
         child_lo[p_star, j_star] = 1  # pushed last: plunges first on ties
-        return -np.inf, None, ((zlo.copy(), child_hi), (child_lo, zhi.copy()))
+        changed = (p_star,)
+        return -np.inf, None, (
+            (zlo.copy(), child_hi, states, changed),
+            (child_lo, zhi.copy(), states, changed),
+        )
 
     def assignment(self, solution) -> dict[str, float]:
         """The winning closure's tests, recovered and written as an assignment."""
@@ -622,23 +607,6 @@ class _StructuredSearch:
         return None
 
     # -- what a box allows ----------------------------------------------------
-
-    def _allowed(self, zlo, zhi):
-        """Propagate the box in place; each branched node's ``_NodeState``.
-
-        A state depends on its node's row alone, and propagating a propagated
-        row changes nothing, so a row equal to its slot's keeps the slot's
-        state.  None when some node allows no test.
-        """
-        states = []
-        for p, (row, state) in enumerate(self.slots):
-            if zlo[p].tobytes() + zhi[p].tobytes() != row:
-                state = self._derive(p, zlo[p], zhi[p])
-                if state is None:
-                    return None
-                self.slots[p] = zlo[p].tobytes() + zhi[p].tobytes(), state
-            states.append(state)
-        return states
 
     def _derive(self, p, lo, hi):
         """Propagate node ``p``'s row in place; its state, None if it allows no test.
@@ -706,7 +674,7 @@ class _StructuredSearch:
         """Per branched node below the root: its id and its subtree's box rows.
 
         Those rows fix the tests of every branched node in the subtree
-        (``_allowed`` reads a node's own rows only, and propagating them again
+        (``_derive`` reads a node's own row only, and propagating it again
         changes nothing), so two closures whose signatures agree at a node
         have the same table there for each routed mask.
         """

@@ -137,7 +137,9 @@ def test_invalid_limit_is_reported(toy, capsys, flag, value):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("weight", ["1e400", "1e-400"])
+# 1e400 and 1e-400 do not fit in a float; 1e308 and 1e-308 do, but the
+# weighted sums over the toy data's classes do not
+@pytest.mark.parametrize("weight", ["1e400", "1e-400", "1e308", "1e-308"])
 def test_class_weight_beyond_a_float_is_reported(toy, capsys, weight):
     code = main(["train", "--data", str(toy), "--label-col", "grade", "--class-weight", weight])
     assert code == 1

@@ -1016,7 +1016,7 @@ def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg)
         zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
         zhi = np.ones_like(zlo)
         zlo[pinned, data.schema.features_of(2)[1]] = 1
-        states = [search._tested(state) for state in search._allowed(zlo, zhi)]
+        states = [search._tested(state) for state in _derived(search, zlo, zhi)]
         closures.append((states, search._signatures(zlo, zhi)))
     # the root's table is not stored, so subtree_rows leaves the root out
     below_root = list(search.subtree_rows)
@@ -1103,14 +1103,14 @@ def test_go_left_follows_its_definition():
 
     zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
     root_state, anchored_state = [
-        search._tested(state) for state in search._allowed(zlo, np.ones_like(zlo))
+        search._tested(state) for state in _derived(search, zlo, np.ones_like(zlo))
     ]
     root, anchored = root_state.tests, anchored_state.tests
     assert len({g for g, _ in root}) == len({g for g, _ in anchored}) == 4
     assert any(not subset for _, subset in root)
     assert all(schema.anchor_feature(g) in subset for g, subset in anchored)
     zlo[1, schema.features_of(3)[2]] = 1
-    pinned_state = search._tested(search._allowed(zlo, np.ones_like(zlo))[1])
+    pinned_state = search._tested(_derived(search, zlo, np.ones_like(zlo))[1])
     assert {g for g, _ in pinned_state.tests} == {3}
     for state in (root_state, anchored_state, pinned_state):
         check(state, slice(None))
@@ -1126,6 +1126,11 @@ def test_go_left_follows_its_definition():
     check(by_hand, slice(None))
 
 
+def _derived(search, zlo, zhi):
+    """Each branched node's state under the box, derived row by row in place."""
+    return [search._derive(p, zlo[p], zhi[p]) for p in range(search.n_decl)]
+
+
 def _solve_record(data, topo, cfg):
     """Everything a solve reports: progress payloads but their times, figures, tree."""
     records = []
@@ -1137,53 +1142,87 @@ def _solve_record(data, topo, cfg):
     return payloads, result.status, result.objective, result.nodes_processed, tree
 
 
-def test_node_state_reuse_is_exact(monkeypatch):
-    # A branched node keeps its state while its box row is unchanged.  The
-    # same solves with every slot forced to miss, so that every search node
-    # derives every state afresh, report the same progress, node counts,
-    # objectives and trees, in every mode, with trivial tests forbidden or
-    # not, anchors on or off, and budgets that close at once or branch.
-    derived = []
+_FLOORS = {"accuracy": {}, "max_sensitivity": {"min_specificity": Fraction(1, 2)},
+           "max_specificity": {"min_sensitivity": Fraction(1, 2)}}
+
+
+def _count_derivations(monkeypatch):
+    """Patch ``_derive`` to count its calls; returns the running count."""
+    derived = [0]
     derive = solver_mod._StructuredSearch._derive
-    allowed = solver_mod._StructuredSearch._allowed
 
     def counted(self, p, lo, hi):
-        derived[-1] += 1
+        derived[0] += 1
         return derive(self, p, lo, hi)
 
-    def missing(self, zlo, zhi):
-        self.slots = [(None, None)] * self.n_decl
-        return allowed(self, zlo, zhi)
-
     monkeypatch.setattr(solver_mod._StructuredSearch, "_derive", counted)
+    return derived
+
+
+def test_node_state_reuse_is_exact(monkeypatch):
+    # A search node carries its branched nodes' states, and a child derives
+    # only the row it branched on.  The same solves with every node deriving
+    # every row afresh report the same progress, node counts, objectives and
+    # trees, in every mode, with trivial tests forbidden or not, anchors on
+    # or off, and budgets that close at once or branch.
+    derived = _count_derivations(monkeypatch)
+    bound = solver_mod._StructuredSearch.bound
+
+    def every_row(self, node, parent_bound):
+        return bound(self, node[:3] + (range(self.n_decl),), parent_bound)
+
     rng = random.Random(15)
-    floors = {"accuracy": {}, "max_sensitivity": {"min_specificity": Fraction(1, 2)},
-              "max_specificity": {"min_sensitivity": Fraction(1, 2)}}
-    compared = [0, 0]  # derivations as shipped, and forced to miss
+    compared = [0, 0]  # derivations as shipped, and of every row at every node
     # groups wide enough that the default budgets branch depth3 and
     # imbalanced; narrow ones where a budget of 4 branches every search
     for budget, constrained, sizes, n in ((4096, 20000, [5, 4, 3], 12), (4, 4, [2, 2], 8)):
         monkeypatch.setattr(solver_mod, "ENUM_BUDGET", budget)
         monkeypatch.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", constrained)
         for name in ("depth2", "depth2_5", "depth3", "imbalanced"):
-            for mode, floor in floors.items():
+            for mode, floor in _FLOORS.items():
                 for forbid, anchor in itertools.product((False, True), repeat=2):
                     data = random_dataset(rng, rng.randrange(n, n + 4), sizes)
                     if len(set(data.labels.tolist())) < 2:
                         continue
                     cfg = BuildConfig(mode=mode, forbid_trivial_branch=forbid,
                                       anchor=anchor, **floor)
-                    derived.append(0)
+                    before = derived[0]
                     shipped = _solve_record(data, preset(name), cfg)
+                    compared[0] += derived[0] - before
                     with monkeypatch.context() as m:
-                        m.setattr(solver_mod._StructuredSearch, "_allowed", missing)
-                        derived.append(0)
+                        m.setattr(solver_mod._StructuredSearch, "bound", every_row)
+                        before = derived[0]
                         fresh = _solve_record(data, preset(name), cfg)
+                        compared[1] += derived[0] - before
                     assert shipped == fresh
-                    compared[0] += derived[-2]
-                    compared[1] += derived[-1]
-    # the slots caught repeats, so the forced misses derived more often
+    # children reuse their parents' states, so deriving every row at every
+    # node derives more often
     assert compared[0] < compared[1]
+
+
+def test_each_search_node_derives_only_its_branched_row(monkeypatch):
+    # The root derives each branched node's state once, and every other
+    # processed node the one row it branched on: over seeded solves that a
+    # budget of 4 forces to branch, the derivations number exactly
+    # n_decl + nodes - 1 per solve.
+    derived = _count_derivations(monkeypatch)
+    monkeypatch.setattr(solver_mod, "ENUM_BUDGET", 4)
+    monkeypatch.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", 4)
+    rng = random.Random(18)
+    expected = branched = 0
+    for name in ("depth2", "depth2_5", "depth3", "imbalanced"):
+        topo = preset(name)
+        n_decl = len(set(topo.decision_nodes) - set(topo.leaf_adjacent))
+        for mode, floor in _FLOORS.items():
+            for _ in range(3):
+                data = random_dataset(rng, rng.randrange(8, 12), [2, 3, 2])
+                if len(set(data.labels.tolist())) < 2:
+                    continue
+                result = solve_milp(build_model(data, topo, BuildConfig(mode=mode, **floor)))
+                expected += n_decl + result.nodes_processed - 1
+                branched += result.nodes_processed > 1
+    assert branched >= 30
+    assert derived[0] == expected
 
 
 def test_node_states_hold_no_per_sample_matrix(monkeypatch):
@@ -1203,9 +1242,9 @@ def test_node_states_hold_no_per_sample_matrix(monkeypatch):
     zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
     zhi = np.ones_like(zlo)
     zhi[:, data.schema.features_of(2)[1:4]] = 0  # the anchor stays
-    result = solver_mod._best_first(search, (zlo, zhi), search.trivial_bound)
+    root = (zlo, zhi, [None] * search.n_decl, range(search.n_decl))
+    result = solver_mod._best_first(search, root, search.all_correct)
     assert (result.status, result.nodes_processed) == (OPTIMAL, 1)
-    assert len(search.slots) == search.n_decl
     states = [state for state in states if state is not None]
     assert max(len(state.tests or ()) for state in states) > 8000
     for state in states:
@@ -1217,8 +1256,8 @@ def test_node_states_hold_no_per_sample_matrix(monkeypatch):
 def test_node_bound_is_every_sample_correct(shape):
     # A leaf-adjacent node may send any sample to either leaf, so no box
     # keeps a sample from a leaf of its class: every node's bound is its
-    # parent's, capped at every sample correct, summed over the samples'
-    # weights, and never below the optimum.
+    # parent's, capped at every sample correct.  That cap is the samples'
+    # weights summed exactly and rounded once, and never below the optimum.
     from grouptree.topology import parse_shape
 
     topo = preset(shape) if shape in PRESET_SHAPES else parse_shape(shape)
@@ -1231,29 +1270,55 @@ def test_node_bound_is_every_sample_correct(shape):
                BuildConfig(mode="max_specificity", min_sensitivity=Fraction(1, 2)))[t % 3]
         model = build_model(data, topo, cfg)
         search = solver_mod._StructuredSearch(model, SolveConfig())
-        weights = {"accuracy": (1.0, 1.5 if t % 3 == 0 else 1.0),
-                   "max_specificity": (0.0, 1.0)}[cfg.mode]
-        sample_w = np.where(data.labels == 1, *weights)
-        c = float(np.dot(sample_w, np.ones(data.n_samples)))
-        assert c == pytest.approx(search.trivial_bound, rel=1e-12)
+        weights = {"accuracy": (1, Fraction(3, 2) if t % 3 == 0 else 1),
+                   "max_specificity": (0, 1)}[cfg.mode]
+        n_pos = int((data.labels == 1).sum())
+        c = float(n_pos * weights[0] + (data.n_samples - n_pos) * weights[1])
+        assert search.all_correct == c
         result = solve_milp(model)
         if result.status == OPTIMAL:
-            assert result.objective <= c + 1e-9
+            assert result.objective <= c
         zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
         zhi = np.ones_like(zlo)
         for box in range(16):
-            # every row drawn afresh, then every row but the first, so that
-            # the first node keeps its state while the others change
+            # every row drawn afresh, then every row but the first
             drawn = slice(box % 2, None)
             zlo[drawn] = gen.random(zlo[drawn].shape) < 0.05
             zhi[drawn] = np.maximum(zlo[drawn], gen.random(zlo[drawn].shape) < 0.7)
-            bounded = search.bound((zlo, zhi), np.inf)
+            node = (zlo, zhi, [None] * search.n_decl, range(search.n_decl))
+            bounded = search.bound(node, np.inf)
             if bounded is None:
                 continue
             assert bounded[0] == c
-            assert search.bound((zlo, zhi), c - 1)[0] == c - 1
+            # a node that carries those states and derives none keeps a
+            # lower parent bound
+            assert search.bound((zlo, zhi, bounded[2], ()), c - 1)[0] == c - 1
             checked += 1
     assert checked >= 80
+
+
+@pytest.mark.parametrize("weight", [Fraction(7, 3), Fraction(1, 3), Fraction(2, 7)])
+def test_a_perfect_optimum_meets_its_bound_exactly(monkeypatch, weight):
+    # On data that a depth2 tree classifies perfectly, the optimum is every
+    # sample correct, so every progress record's bound, and the best bound,
+    # equal the objective bit for bit.  Summing per-sample floats of a weight
+    # that is not dyadic can round away from that exact constant.
+    monkeypatch.setattr(solver_mod, "ENUM_BUDGET", 4)
+    rng = random.Random(21)
+    topo = preset("depth2")
+    for t in range(24):
+        data = random_dataset(rng, rng.randrange(4, 24), [2, 3])
+        # positive exactly when the group-0 feature is the group's first,
+        # or exactly when it is not
+        first = data.matrix[:, data.schema.features_of(0)[0]] == 1
+        data = replace(data, labels=np.where(first == t % 2, 1, -1).astype(np.int8))
+        records = []
+        result = solve_milp(build_model(data, topo, BuildConfig(class_weight=weight)),
+                            SolveConfig(callback=records.append))
+        n_pos = int((data.labels == 1).sum())
+        exact = float(n_pos + (data.n_samples - n_pos) * weight)
+        assert (result.status, result.objective, result.best_bound) == (OPTIMAL, exact, exact)
+        assert records and all(r["bound"] == exact for r in records)
 
 
 def test_structured_search_is_pinned(monkeypatch):
