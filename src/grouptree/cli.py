@@ -176,8 +176,6 @@ def _build_config(args) -> BuildConfig:
     min_spec, min_sens = args.min_specificity, args.min_sensitivity
     if isinstance(min_spec, list):  # sweep floors: the config echo shows the first
         min_spec = min_spec[0]
-    mode = ("max_specificity" if min_sens is not None
-            else "max_sensitivity" if min_spec is not None else "accuracy")
     return BuildConfig(
         strengthen=not args.no_strengthen,
         anchor=not args.no_anchor,
@@ -185,7 +183,6 @@ def _build_config(args) -> BuildConfig:
         drop_unused_c=not args.keep_unused_c,
         forbid_trivial_branch=args.forbid_trivial,
         class_weight=args.class_weight,
-        mode=mode,
         min_specificity=min_spec,
         min_sensitivity=min_sens,
     )
@@ -325,9 +322,9 @@ def cmd_oracle(args) -> int:
         data,
         topo,
         class_weight=cfg.class_weight,
-        mode=cfg.mode,
         min_specificity=cfg.min_specificity,
         min_sensitivity=cfg.min_sensitivity,
+        forbid_trivial=cfg.forbid_trivial_branch,
         budget=args.budget,
     )
     rendered = tree.render(data.schema)

@@ -177,7 +177,7 @@ def sensitivity_sweep(
     test = data.subset(test_idx)
     rows = []
     for beta in map(Fraction, floors):
-        cfg = replace(base, mode="max_sensitivity", min_specificity=beta, min_sensitivity=None)
+        cfg = replace(base, min_specificity=beta, min_sensitivity=None)
         tree, result = _fit(train, topology, cfg, solve_config)
         train_m, test_m = evaluate(tree, train), evaluate(tree, test)
         rows.append(

@@ -30,16 +30,16 @@ from .encoding import EncodedDataset
 from .errors import EmptyClassError, InvalidConfigError
 from .topology import TreeTopology
 
-MODES = ("accuracy", "max_sensitivity", "max_specificity")
-
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Switches for the model variants.
+    """Switches for the model variants, and the objective.
 
     The defaults build the tightened form: aggregated routing rows, anchor
     equalities at eligible nodes, wrong-class routing variables dropped, and
-    integrality kept only where it is actually needed.
+    integrality kept only where it is actually needed.  At most one floor
+    is set, and it chooses the ``mode``; only accuracy mode, with no floor,
+    reads ``class_weight``, so a weight other than 1 with a floor is refused.
     """
 
     strengthen: bool = True
@@ -48,7 +48,6 @@ class BuildConfig:
     drop_unused_c: bool = True
     forbid_trivial_branch: bool = False
     class_weight: Fraction = Fraction(1)
-    mode: str = "accuracy"
     min_specificity: Fraction | None = None
     min_sensitivity: Fraction | None = None
 
@@ -65,20 +64,25 @@ class BuildConfig:
                 "class_weight is too large or too small: its numerator and "
                 "denominator must each fit in a float"
             ) from None
-        if self.mode not in MODES:
-            raise InvalidConfigError(f"mode must be one of {MODES}")
-        if self.mode == "max_sensitivity":
-            if self.min_specificity is None:
-                raise InvalidConfigError("max_sensitivity needs min_specificity")
-            object.__setattr__(self, "min_specificity", Fraction(self.min_specificity))
-            if not 0 <= self.min_specificity <= 1:
-                raise InvalidConfigError("min_specificity must be in [0, 1]")
-        if self.mode == "max_specificity":
-            if self.min_sensitivity is None:
-                raise InvalidConfigError("max_specificity needs min_sensitivity")
-            object.__setattr__(self, "min_sensitivity", Fraction(self.min_sensitivity))
-            if not 0 <= self.min_sensitivity <= 1:
-                raise InvalidConfigError("min_sensitivity must be in [0, 1]")
+        floors = [f for f in ("min_specificity", "min_sensitivity") if getattr(self, f) is not None]
+        if len(floors) > 1:
+            raise InvalidConfigError("min_specificity and min_sensitivity are exclusive")
+        for name in floors:
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            if not 0 <= getattr(self, name) <= 1:
+                raise InvalidConfigError(f"{name} must be in [0, 1]")
+        if floors and self.class_weight != 1:
+            raise InvalidConfigError(
+                f"class_weight applies only in accuracy mode, not with {floors[0]}"
+            )
+
+    @property
+    def mode(self) -> str:
+        """``max_sensitivity`` under ``min_specificity``, ``max_specificity``
+        under ``min_sensitivity``, else ``accuracy``."""
+        if self.min_specificity is None:
+            return "accuracy" if self.min_sensitivity is None else "max_specificity"
+        return "max_sensitivity"
 
     def objective(self, n_pos: int, n_neg: int) -> tuple[int, int, int, int, int]:
         """This mode for ``n_pos`` positives and ``n_neg`` negatives.
@@ -131,7 +135,6 @@ class Variable:
     lower: float
     upper: float
     is_integer: bool
-    role: str  # "v", "z", "c", or "x" for foreign models
 
 
 @dataclass(frozen=True)
@@ -281,14 +284,12 @@ def build_model(
     # integral one while meeting the floor), so there all z stay integral.
     integral = not config.relax_integrality
     relax_leaf_z = config.relax_integrality and config.mode == "accuracy"
-    variables = [
-        Variable(name, 0.0, 1.0, integral, "v") for k in nodes for name in v_names[k]
-    ]
+    variables = [Variable(name, 0.0, 1.0, integral) for k in nodes for name in v_names[k]]
     for k in nodes:
         is_int = integral or k not in topology.leaf_adjacent or not relax_leaf_z
-        variables += [Variable(name, 0.0, 1.0, is_int, "z") for name in z_names[k]]
+        variables += [Variable(name, 0.0, 1.0, is_int) for name in z_names[k]]
     variables += [
-        Variable(name, 0.0, 1.0, integral, "c")
+        Variable(name, 0.0, 1.0, integral)
         for pairs in c_plus
         for name, _ in pairs.values()
     ]

@@ -248,18 +248,15 @@ def parse_mps(text: str) -> MilpModel:
     if obj_row is None:
         raise MpsParseError("no objective (N) row", line_no=None)
 
-    variables = []
-    for vname in var_order:
-        role = {"V": "v", "Z": "z", "C": "c"}.get(vname.split("_")[0], "x")
-        variables.append(
-            Variable(
-                name=vname,
-                lower=var_lower.get(vname, 0.0),
-                upper=var_upper.get(vname, float("inf")),
-                is_integer=var_integer[vname],
-                role=role,
-            )
+    variables = [
+        Variable(
+            name=vname,
+            lower=var_lower.get(vname, 0.0),
+            upper=var_upper.get(vname, float("inf")),
+            is_integer=var_integer[vname],
         )
+        for vname in var_order
+    ]
     constraints = [
         Constraint(
             name=rname,

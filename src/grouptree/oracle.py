@@ -1,8 +1,8 @@
 """Brute-force optimum over every (group, subset) assignment of a fixed shape.
 
-This is the trusted reference for small instances: it enumerates all tests at
-every decision node, re-routing the sample multiset by bitset intersection at
-each step, and keeps the first assignment attaining the maximum.  No
+This is the trusted reference for small instances: it enumerates every
+allowed test at each decision node, re-routing the sample multiset by bitset
+intersection at each step, and keeps the first assignment attaining the maximum.  No
 memoization, no pruning beyond the up-front work budget.
 """
 
@@ -38,16 +38,19 @@ def enumerate_optimal(
     data: EncodedDataset,
     topology: TreeTopology,
     class_weight: int | Fraction = 1,
-    mode: str = "accuracy",
     min_specificity: Fraction | None = None,
     min_sensitivity: Fraction | None = None,
+    forbid_trivial: bool = False,
     budget: int = DEFAULT_BUDGET,
 ):
     """Exact optimum of the training objective over all trees of one shape.
 
-    Returns ``(objective, DecisionTree)``.  The objective is
-    correct-positives + class_weight * correct-negatives in accuracy mode, and
-    the constrained count of the maximized class otherwise.
+    Returns ``(objective, DecisionTree)``.  Without a floor the objective is
+    correct-positives + class_weight * correct-negatives.  A floor, which
+    refuses a weight, makes it the count of correct positives (negatives)
+    with at least ``min_specificity`` of the negatives (``min_sensitivity``
+    of the positives) correct.  With ``forbid_trivial`` no subset is empty
+    or a whole group.  Raises ``InfeasibleError`` if no tree is allowed.
     """
     total = prod(node_option_count(data.schema) for _ in topology.decision_nodes)
     if total > budget:
@@ -77,28 +80,34 @@ def enumerate_optimal(
         raise InvalidConfigError("class weight must be positive")
     if weight.denominator == 1:
         weight = int(weight)
+    if min_specificity is not None and min_sensitivity is not None:
+        raise InvalidConfigError("min_specificity and min_sensitivity are exclusive")
+    # per group, the bits of the feature subsets a test may take
+    bit_ranges = [
+        range(1, (1 << size) - 1) if forbid_trivial else range(1 << size)
+        for size in schema.group_sizes
+    ]
+    if not any(bit_ranges):
+        raise InfeasibleError("no test is allowed: no group has two categories")
 
-    if mode == "accuracy":
+    if min_specificity is None and min_sensitivity is None:
         value, tests = _search_accuracy(
-            topology, schema, feature_mask, pos_mask, neg_mask, weight
+            topology, schema, bit_ranges, feature_mask, pos_mask, neg_mask, weight
         )
         tree = _as_tree(topology, schema, tests)
         return value, tree
 
-    # the floored modes: the rate's name, the rate, the floored class, its noun
-    floored = {
-        "max_sensitivity": ("min_specificity", min_specificity, neg_mask, "negatives"),
-        "max_specificity": ("min_sensitivity", min_sensitivity, pos_mask, "positives"),
-    }
-    if mode not in floored:
-        raise InvalidConfigError(f"unknown mode {mode!r}")
-    rate_name, rate, floored_mask, noun = floored[mode]
-    if rate is None:
-        raise InvalidConfigError(f"{mode} mode needs {rate_name}")
+    if weight != 1:
+        raise InvalidConfigError("class weight applies only without a floor")
+    # the floored modes: the rate, the floored class, its noun
+    if min_specificity is not None:
+        rate, floored_mask, noun = min_specificity, neg_mask, "negatives"
+    else:
+        rate, floored_mask, noun = min_sensitivity, pos_mask, "positives"
     floor = ceil(Fraction(rate) * floored_mask.bit_count())
     table = _search_pareto(
-        topology, schema, feature_mask, pos_mask, neg_mask,
-        key_is_tn=mode == "max_sensitivity",
+        topology, schema, bit_ranges, feature_mask, pos_mask, neg_mask,
+        key_is_tn=min_specificity is not None,
     )
     best = None
     for key in sorted(table):
@@ -112,12 +121,12 @@ def enumerate_optimal(
     return best[0], _as_tree(topology, schema, best[1])
 
 
-def _subsets(schema: GroupSchema, routed: int, feature_mask: list[int]):
+def _subsets(schema: GroupSchema, bit_ranges, routed: int, feature_mask: list[int]):
     """Yield (group, feature frozenset, left bitset) in deterministic order."""
     for g in range(schema.n_groups):
         feats = schema.features_of(g)
         masks = [feature_mask[j] & routed for j in feats]
-        for bits in range(1 << len(feats)):
+        for bits in bit_ranges[g]:
             left = 0
             chosen = []
             rest = bits
@@ -131,7 +140,7 @@ def _subsets(schema: GroupSchema, routed: int, feature_mask: list[int]):
             yield g, frozenset(chosen), left
 
 
-def _search_accuracy(topology, schema, feature_mask, pos_mask, neg_mask, weight):
+def _search_accuracy(topology, schema, bit_ranges, feature_mask, pos_mask, neg_mask, weight):
     def leaf_value(leaf: int, routed: int):
         if leaf % 2 == 0:
             return (routed & pos_mask).bit_count()
@@ -144,7 +153,7 @@ def _search_accuracy(topology, schema, feature_mask, pos_mask, neg_mask, weight)
         left_child, right_child = topology.children[k]
         best_value = None
         best_tests = None
-        for g, subset, left in _subsets(schema, routed, feature_mask):
+        for g, subset, left in _subsets(schema, bit_ranges, routed, feature_mask):
             lv, lt = search(left_child, left)
             rv, rt = search(right_child, routed & ~left)
             value = lv + rv
@@ -156,7 +165,7 @@ def _search_accuracy(topology, schema, feature_mask, pos_mask, neg_mask, weight)
     return search(("node", topology.root), (pos_mask | neg_mask))
 
 
-def _search_pareto(topology, schema, feature_mask, pos_mask, neg_mask, key_is_tn):
+def _search_pareto(topology, schema, bit_ranges, feature_mask, pos_mask, neg_mask, key_is_tn):
     """Map from constrained-count to (best objective-count, tests)."""
 
     def leaf_table(leaf: int, routed: int):
@@ -178,7 +187,7 @@ def _search_pareto(topology, schema, feature_mask, pos_mask, neg_mask, key_is_tn
             return leaf_table(k, routed)
         left_child, right_child = topology.children[k]
         table: dict[int, tuple[int, dict]] = {}
-        for g, subset, left in _subsets(schema, routed, feature_mask):
+        for g, subset, left in _subsets(schema, bit_ranges, routed, feature_mask):
             lt = search(left_child, left)
             rt = search(right_child, routed & ~left)
             for lk, (lval, ltests) in lt.items():

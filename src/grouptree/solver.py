@@ -480,13 +480,8 @@ class _StructuredSearch:
             np.array(self.schema.features_of(g), dtype=np.int64)
             for g in range(self.n_groups)
         ]
-        # per group, the feature id of each sample within it
-        fidx = np.zeros((self.n_groups, self.n), dtype=np.int64)
-        for g, feats in enumerate(self.group_feats):
-            fidx[g] = feats[np.argmax(self.data.matrix[:, feats], axis=1)]
-        # per feature, 1 for the samples whose feature in its group it is
-        self.feature_samples = np.zeros((self.d, self.n), dtype=np.float32)
-        self.feature_samples[fidx, np.arange(self.n)] = 1
+        # per feature, 1 for the samples that have it
+        self.feature_samples = np.ascontiguousarray(self.data.matrix.T, dtype=np.float32)
         self.anchor = [self.schema.anchor_feature(g) for g in range(self.n_groups)]
         self.anchored = self.topo.anchor_eligible if self.bcfg.anchor else frozenset()
         self.group_of = np.array([self.schema.group_of(j) for j in range(self.d)])
@@ -932,7 +927,7 @@ class _StructuredSearch:
             for j in range(self.d):
                 assignment[f"Z_{k}_{j}"] = 1.0 if j in member else 0.0
         for var in self.model.variables:
-            if var.role != "c":
+            if not var.name.startswith("C_"):
                 continue
             _, i_s, b_s = var.name.split("_")
             assignment[var.name] = 1.0 if leaves[int(i_s)] == int(b_s) else 0.0

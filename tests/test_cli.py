@@ -146,6 +146,30 @@ def test_class_weight_beyond_a_float_is_reported(toy, capsys, weight):
     assert capsys.readouterr().err.startswith("error: class_weight")
 
 
+@pytest.mark.parametrize("command", ["train", "oracle"])
+@pytest.mark.parametrize("floor", ["--min-specificity", "--min-sensitivity"])
+def test_class_weight_with_a_floor_is_reported(toy, capsys, floor, command):
+    # the floored modes never read a class weight: refuse it, do not echo it
+    argv = [command, "--data", str(toy), "--label-col", "grade"]
+    code = main(argv + ["--class-weight", "3/2", floor, "1/2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: class_weight")
+    assert main(argv + ["--class-weight", "1", floor, "1/2"]) == 0
+
+
+def test_oracle_reads_forbid_trivial(tmp_path, capsys):
+    # four positives over two categories: the empty subset is forbidden, so
+    # the stump sends one category to its negative leaf
+    path = tmp_path / "stump.csv"
+    path.write_text("c1,y\na,1\nb,1\na,1\nb,1\n", encoding="utf-8")
+    argv = ["oracle", "--data", str(path), "--label-positive", "1", "--topology", "(# #)"]
+    for flags, objective in (([], 4.0), (["--forbid-trivial"], 2.0)):
+        assert main(argv + flags) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["objective"] == objective
+        assert payload["config"]["build"]["forbid_trivial_branch"] == bool(flags)
+
+
 def test_infeasible_training_is_reported(tmp_path, capsys):
     # one category and trivial tests forbidden: no tree exists
     path = tmp_path / "one.csv"

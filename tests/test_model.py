@@ -110,7 +110,7 @@ def test_objective_weights():
 def test_spec_floor_value(rng):
     data = random_dataset(rng, 40, [2, 3])
     n_neg = int((data.labels == -1).sum())
-    cfg = BuildConfig(mode="max_sensitivity", min_specificity=Fraction(19, 20))
+    cfg = BuildConfig(min_specificity=Fraction(19, 20))
     model = build_model(data, preset("depth2"), cfg)
     spec = [c for c in model.constraints if c.name == "SPEC"]
     assert len(spec) == 1
@@ -128,14 +128,14 @@ def test_empty_class_error(rng):
         build_model(
             data,
             preset("depth2"),
-            BuildConfig(mode="max_sensitivity", min_specificity=Fraction(1, 2)),
+            BuildConfig(min_specificity=Fraction(1, 2)),
         )
     data = random_dataset(rng, 10, [2, 2], labels=[-1] * 10)
     with pytest.raises(EmptyClassError):
         build_model(
             data,
             preset("depth2"),
-            BuildConfig(mode="max_specificity", min_sensitivity=Fraction(1, 2)),
+            BuildConfig(min_sensitivity=Fraction(1, 2)),
         )
 
 
@@ -148,12 +148,34 @@ def test_invalid_configs():
             BuildConfig(class_weight=Fraction(weight))
     BuildConfig(class_weight=Fraction("1e300"))
     BuildConfig(class_weight=Fraction("1e-300"))
+    for name in ("min_specificity", "min_sensitivity"):
+        # a floor is a rate
+        for rate in (Fraction(3, 2), Fraction(-1, 2), 5):
+            with pytest.raises(InvalidConfigError, match=name):
+                BuildConfig(**{name: rate})
+        # the floored modes never read a class weight
+        with pytest.raises(InvalidConfigError, match="^class_weight"):
+            BuildConfig(class_weight=Fraction(3, 2), **{name: Fraction(1, 2)})
+        BuildConfig(class_weight=1, **{name: Fraction(1, 2)})
+    # one floor chooses one mode
+    with pytest.raises(InvalidConfigError, match="exclusive"):
+        BuildConfig(min_specificity=Fraction(1, 2), min_sensitivity=Fraction(1, 2))
     with pytest.raises(InvalidConfigError):
-        BuildConfig(mode="max_sensitivity", min_specificity=Fraction(3, 2))
-    with pytest.raises(InvalidConfigError):
-        BuildConfig(mode="max_sensitivity")
-    with pytest.raises(InvalidConfigError):
-        BuildConfig(mode="mystery")
+        BuildConfig(min_specificity=Fraction(1, 2), min_sensitivity=5)
+
+
+def test_the_floor_chooses_the_mode():
+    cfg = BuildConfig(min_specificity=Fraction(1, 2))
+    assert cfg.mode == "max_sensitivity"
+    assert cfg.objective(10, 10) == (1, 0, 1, -1, 5)
+    cfg = BuildConfig(min_sensitivity=0.5)
+    assert (cfg.mode, cfg.min_sensitivity) == ("max_specificity", Fraction(1, 2))
+    assert cfg.objective(10, 10) == (0, 1, 1, 1, 5)
+    assert BuildConfig(class_weight=Fraction(3, 2)).mode == "accuracy"
+    assert BuildConfig().as_dict()["mode"] == "accuracy"
+    assert BuildConfig(min_specificity=1).as_dict() == {
+        **BuildConfig().as_dict(), "mode": "max_sensitivity", "min_specificity": "1"
+    }
 
 
 def test_build_deterministic(rng):
@@ -186,8 +208,8 @@ PINNED_CONFIGS = {
     "basic-full": BuildConfig(strengthen=False, drop_unused_c=False),
     "forbid-trivial": BuildConfig(forbid_trivial_branch=True),
     "weight-3/2": BuildConfig(class_weight=Fraction(3, 2)),
-    "max-sensitivity": BuildConfig(mode="max_sensitivity", min_specificity=Fraction(9, 10)),
-    "max-specificity": BuildConfig(mode="max_specificity", min_sensitivity=Fraction(3, 4)),
+    "max-sensitivity": BuildConfig(min_specificity=Fraction(9, 10)),
+    "max-specificity": BuildConfig(min_sensitivity=Fraction(3, 4)),
 }
 
 # sha256 (first 16 hex digits) of the MPS and LP texts of every preset, in
@@ -255,7 +277,7 @@ def test_monks1_imbalanced_size_is_pinned():
     [
         BuildConfig(),
         BuildConfig(strengthen=False, drop_unused_c=False, forbid_trivial_branch=True),
-        BuildConfig(mode="max_sensitivity", min_specificity=Fraction(1, 2)),
+        BuildConfig(min_specificity=Fraction(1, 2)),
     ],
     ids=["default", "basic-forbid", "max-sensitivity"],
 )

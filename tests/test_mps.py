@@ -188,7 +188,7 @@ def test_name_overflow():
     model = MilpModel(
         name="X",
         sense="max",
-        variables=[Variable("THIS_NAME_IS_TOO_LONG", 0.0, 1.0, False, "x")],
+        variables=[Variable("THIS_NAME_IS_TOO_LONG", 0.0, 1.0, False)],
         constraints=[],
         objective=(("THIS_NAME_IS_TOO_LONG", 1.0),),
     )

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from grouptree.encoding import EncodedDataset
-from grouptree.errors import BudgetExceededError
+from grouptree.errors import BudgetExceededError, InfeasibleError, InvalidConfigError
 from grouptree.oracle import enumerate_optimal, node_option_count, symmetry_reduced_count
-from grouptree.topology import preset
+from grouptree.topology import parse_shape, preset
 from grouptree.tree import DecisionTree, evaluate
 from tests.conftest import make_schema, random_dataset
 
@@ -118,19 +118,19 @@ def test_constrained_modes_tiny(rng):
         acc_val, _ = enumerate_optimal(data, preset("depth2"))
         # no floor: sensitivity can always reach every positive via one leaf
         tp_free, _ = enumerate_optimal(
-            data, preset("depth2"), mode="max_sensitivity", min_specificity=0
+            data, preset("depth2"), min_specificity=0
         )
         assert tp_free == int((data.labels == 1).sum())
         # full floor: all negatives must be right
         tp_strict, tree = enumerate_optimal(
-            data, preset("depth2"), mode="max_sensitivity", min_specificity=1
+            data, preset("depth2"), min_specificity=1
         )
         m = evaluate(tree, data)
         assert m.true_negative == n_neg
         assert tp_strict <= tp_free
         # symmetric mode
         tn_strict, tree2 = enumerate_optimal(
-            data, preset("depth2"), mode="max_specificity", min_sensitivity=1
+            data, preset("depth2"), min_sensitivity=1
         )
         assert evaluate(tree2, data).true_positive == int((data.labels == 1).sum())
 
@@ -160,3 +160,39 @@ def test_transformed_optimum_never_beats_grouped():
         binarize_for_simple_branching(sub), preset("depth2"), budget=10**9
     )
     assert simple <= grouped
+
+
+def test_forbidden_trivial_tests_are_not_enumerated():
+    # four positives over two categories: the empty subset sends all of
+    # them to the positive leaf, but with trivial tests forbidden a stump
+    # must send one category to the negative leaf
+    data = EncodedDataset(
+        matrix=np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=np.uint8),
+        labels=np.ones(4, dtype=np.int8),
+        schema=make_schema([2]),
+    )
+    stump = parse_shape("(# #)")
+    assert enumerate_optimal(data, stump)[0] == 4
+    value, tree = enumerate_optimal(data, stump, forbid_trivial=True)
+    assert value == 2
+    assert len(tree.tests[1][1]) == 1
+    # one category per group leaves no test at all
+    single = EncodedDataset(
+        matrix=np.ones((4, 2), dtype=np.uint8),
+        labels=np.array([1, -1, 1, -1], dtype=np.int8),
+        schema=make_schema([1, 1]),
+    )
+    for floor in ({}, {"min_specificity": 0}):
+        with pytest.raises(InfeasibleError, match="no test"):
+            enumerate_optimal(single, stump, forbid_trivial=True, **floor)
+    assert enumerate_optimal(single, stump)[0] == 2
+
+
+def test_objective_settings_that_would_not_be_read_are_refused(rng):
+    data = random_dataset(rng, 12, [2, 2])
+    with pytest.raises(InvalidConfigError, match="class weight"):
+        enumerate_optimal(data, preset("depth2"), class_weight=Fraction(3, 2),
+                          min_specificity=Fraction(1, 2))
+    with pytest.raises(InvalidConfigError, match="exclusive"):
+        enumerate_optimal(data, preset("depth2"), min_specificity=Fraction(1, 2),
+                          min_sensitivity=Fraction(1, 2))

@@ -11,6 +11,7 @@ import grouptree.solver as solver_mod
 from grouptree.encoding import EncodedDataset
 from grouptree.errors import (
     FractionalSelectionError,
+    InfeasibleError,
     InvalidConfigError,
     NumericalFailureError,
     TimeLimitNoIncumbentError,
@@ -191,7 +192,7 @@ def test_solution_c_matches_replay(rng):
     tree = extract_tree(result, topo, data.schema)
     leaves = tree.route_all(data.matrix)
     for var in model.variables:
-        if var.role != "c":
+        if not var.name.startswith("C_"):
             continue
         _, i_s, b_s = var.name.split("_")
         want = 1.0 if leaves[int(i_s)] == int(b_s) else 0.0
@@ -263,9 +264,9 @@ def test_constrained_solves_match_oracle(rng):
                 continue
             for beta in (Fraction(1, 2), Fraction(1)):
                 expected, _ = enumerate_optimal(
-                    data, topo, mode="max_sensitivity", min_specificity=beta
+                    data, topo, min_specificity=beta
                 )
-                cfg = BuildConfig(mode="max_sensitivity", min_specificity=beta)
+                cfg = BuildConfig(min_specificity=beta)
                 for method in methods:
                     result = solve_milp(build_model(data, topo, cfg), method=method)
                     assert result.status == OPTIMAL
@@ -355,7 +356,7 @@ def _integer_program(sense, objective, rows, upper):
     return MilpModel(
         name="HAND",
         sense=sense,
-        variables=[Variable(v, 0.0, upper, True, "x") for v in ("X", "Y")],
+        variables=[Variable(v, 0.0, upper, True) for v in ("X", "Y")],
         constraints=[
             Constraint(f"R{t}", coeffs, con_sense, rhs)
             for t, (coeffs, con_sense, rhs) in enumerate(rows)
@@ -459,7 +460,7 @@ def _general_integer_program(rng):
         for t in range(rng.randint(2, 3))
     ]
     objective = tuple((v, float(rng.randint(1, 9))) for v in names)
-    variables = [Variable(v, 0.0, upper, True, "x") for v in names]
+    variables = [Variable(v, 0.0, upper, True) for v in names]
     return MilpModel("GENINT", "max", variables, rows, objective)
 
 
@@ -505,7 +506,7 @@ def test_lp_branching_terminates_on_a_reopened_range():
     names = ("X0", "X1", "X2")
     rows = [((8.0, 7.0, 1.0), 28.0), ((9.0, 5.0, 1.0), 23.5), ((5.0, 5.0, 6.0), 5.5)]
     model = MilpModel(
-        "REOPEN", "max", [Variable(v, 0.0, 3.0, True, "x") for v in names],
+        "REOPEN", "max", [Variable(v, 0.0, 3.0, True) for v in names],
         [Constraint(f"R{t}", tuple(zip(names, coeffs)), "<=", rhs)
          for t, (coeffs, rhs) in enumerate(rows)],
         tuple(zip(names, (9.0, 9.0, 3.0))),
@@ -700,50 +701,19 @@ def test_generic_assignment_matches_replay(rng):
     tree = extract_tree(result, topo, data.schema)
     leaves = tree.route_all(data.matrix)
     for var in model.variables:
-        if var.role != "c":
+        if not var.name.startswith("C_"):
             continue
         _, i_s, b_s = var.name.split("_")
         want = 1.0 if leaves[int(i_s)] == int(b_s) else 0.0
         assert result.assignment[var.name] == pytest.approx(want, abs=1e-6)
 
 
-def _brute_force_nontrivial(data, topo, weight=1, floor=None, floored="tn"):
-    """Test-local reference: enumerate non-trivial tests at every node.
-
-    With a ``floor``, the ``floored`` count ("tn" or "tp") must reach it and
-    the other count is maximized.
-    """
-    from itertools import combinations, product
-
-    from grouptree.tree import DecisionTree
-
-    options = []
-    for g in range(data.schema.n_groups):
-        feats = data.schema.features_of(g)
-        for size in range(1, len(feats)):
-            for combo in combinations(feats, size):
-                options.append((g, frozenset(combo)))
-    best = None
-    for choice in product(options, repeat=topo.n_decision_nodes):
-        tests = {k: choice[k - 1] for k in topo.decision_nodes}
-        tree = DecisionTree(
-            topology=topo, tests=tests, n_features=data.n_features,
-            group_sizes=data.schema.group_sizes,
-        )
-        m = evaluate(tree, data)
-        if floor is None:
-            value = m.true_positive + weight * m.true_negative
-        else:
-            kept, value = (
-                (m.true_negative, m.true_positive)
-                if floored == "tn"
-                else (m.true_positive, m.true_negative)
-            )
-            if kept < floor:
-                continue
-        if best is None or value > best:
-            best = value
-    return best
+def _oracle_nontrivial(data, topo, **objective):
+    """The oracle's optimum with trivial tests forbidden; None if infeasible."""
+    try:
+        return enumerate_optimal(data, topo, forbid_trivial=True, **objective)[0]
+    except InfeasibleError:
+        return None
 
 
 def _assert_nontrivial(tree):
@@ -759,7 +729,7 @@ def test_forbid_trivial_against_brute_force(rng):
     for name, weight in cases:
         topo = preset(name)
         data = random_dataset(rng, 14 if name == "depth2" else 10, [2, 2])
-        expected = _brute_force_nontrivial(data, topo, weight=weight)
+        expected = _oracle_nontrivial(data, topo, class_weight=weight)
         cfg = BuildConfig(forbid_trivial_branch=True, class_weight=weight)
         methods = ("auto", "lp") if name == "depth2" else ("auto",)
         for method in methods:
@@ -779,15 +749,9 @@ def test_forbid_trivial_constrained_against_brute_force(rng):
         floored = (data.labels == (-1 if mode == "max_sensitivity" else 1)).sum()
         if floored == 0 or floored == data.n_samples:
             continue
-        floor_rate = Fraction(1, 2)
-        floor = -(-int(floored) // 2)
-        expected = _brute_force_nontrivial(
-            data, topo, floor=floor, floored="tn" if mode == "max_sensitivity" else "tp"
-        )
         rate_key = "min_specificity" if mode == "max_sensitivity" else "min_sensitivity"
-        cfg = BuildConfig(
-            forbid_trivial_branch=True, mode=mode, **{rate_key: floor_rate}
-        )
+        expected = _oracle_nontrivial(data, topo, **{rate_key: Fraction(1, 2)})
+        cfg = BuildConfig(forbid_trivial_branch=True, **{rate_key: Fraction(1, 2)})
         model = build_model(data, topo, cfg)
         methods = ("auto", "lp") if name == "depth2" else ("auto",)
         for method in methods:
@@ -807,7 +771,7 @@ def test_forbid_trivial_constrained_large_group_is_feasible():
     topo = preset("depth2")
     beta = Fraction(1, 2)
     cfg = BuildConfig(
-        mode="max_sensitivity", min_specificity=beta, forbid_trivial_branch=True
+        min_specificity=beta, forbid_trivial_branch=True
     )
     result = solve_milp(build_model(data, topo, cfg))
     assert result.status == OPTIMAL
@@ -830,9 +794,9 @@ def test_max_specificity_matches_oracle(rng):
                 continue
             for alpha in (Fraction(1, 2), Fraction(1)):
                 expected, _ = enumerate_optimal(
-                    data, topo, mode="max_specificity", min_sensitivity=alpha
+                    data, topo, min_sensitivity=alpha
                 )
-                cfg = BuildConfig(mode="max_specificity", min_sensitivity=alpha)
+                cfg = BuildConfig(min_sensitivity=alpha)
                 for method in methods:
                     result = solve_milp(build_model(data, topo, cfg), method=method)
                     assert result.status == OPTIMAL
@@ -880,7 +844,7 @@ def _class_counts(search, masks):
     [
         BuildConfig(),
         BuildConfig(
-            mode="max_sensitivity", min_specificity=Fraction(1, 2), forbid_trivial_branch=True
+            min_specificity=Fraction(1, 2), forbid_trivial_branch=True
         ),
     ],
     ids=["accuracy", "floored"],
@@ -990,7 +954,7 @@ def _direct_tables(search, child, masks, options):
     [
         BuildConfig(),
         BuildConfig(
-            mode="max_sensitivity", min_specificity=Fraction(1, 2), forbid_trivial_branch=True
+            min_specificity=Fraction(1, 2), forbid_trivial_branch=True
         ),
     ],
     ids=["accuracy", "floored"],
@@ -1065,8 +1029,8 @@ def test_solves_under_a_tiny_store_match_oracle(monkeypatch, mode):
                 continue
             floor = {"max_sensitivity": {"min_specificity": Fraction(1, 2)},
                      "max_specificity": {"min_sensitivity": Fraction(2, 3)}}.get(mode, {})
-            expected, _ = enumerate_optimal(data, topo, mode=mode, **floor)
-            result = solve_milp(build_model(data, topo, BuildConfig(mode=mode, **floor)))
+            expected, _ = enumerate_optimal(data, topo, **floor)
+            result = solve_milp(build_model(data, topo, BuildConfig(**floor)))
             assert result.status == OPTIMAL
             assert abs(result.objective - float(expected)) < 1e-7
             tree = extract_tree(result, topo, data.schema)
@@ -1075,6 +1039,53 @@ def test_solves_under_a_tiny_store_match_oracle(monkeypatch, mode):
                       "max_sensitivity": m.true_positive,
                       "max_specificity": m.true_negative}[mode]
             assert earned == int(expected)
+
+
+_OBJECTIVES = ({}, {"class_weight": Fraction(3, 2)}, {"min_specificity": Fraction(1, 2)},
+               {"min_sensitivity": Fraction(2, 3)})
+
+
+def test_engines_agree_on_every_objective_and_forbid_setting():
+    # The structured engine against the oracle on every shape, and against
+    # the LP engine too on depth2: each mode, weights 1 and 3/2, trivial
+    # tests allowed or forbidden.  Groups of one category leave some
+    # forbidding solves without any test, so some answers are infeasible.
+    rng = random.Random(19)
+    statuses = []
+    for name in ("depth2", "depth2_5", "depth3"):
+        topo = preset(name)
+        for objective, forbid in itertools.product(_OBJECTIVES, (False, True)):
+            for _ in range(6):
+                sizes = [rng.randint(1, 3) for _ in range(2)]
+                data = random_dataset(rng, rng.randrange(8, 13), sizes)
+                if len(set(data.labels.tolist())) < 2:
+                    continue
+                try:
+                    expected = enumerate_optimal(data, topo, forbid_trivial=forbid,
+                                                 budget=10**12, **objective)[0]
+                except InfeasibleError:
+                    expected = None
+                cfg = BuildConfig(forbid_trivial_branch=forbid, **objective)
+                model = build_model(data, topo, cfg)
+                for method in ("auto", "lp") if name == "depth2" else ("auto",):
+                    result = solve_milp(model, method=method)
+                    statuses.append(result.status)
+                    if expected is None:
+                        assert result.status == INFEASIBLE, (name, objective, method)
+                        continue
+                    assert result.status == OPTIMAL
+                    assert abs(result.objective - float(expected)) < 1e-7, (name, method)
+                    tree = extract_tree(result, topo, data.schema)
+                    if forbid:
+                        _assert_nontrivial(tree)
+                    m = evaluate(tree, data)
+                    earned = {
+                        "accuracy": m.true_positive + cfg.class_weight * m.true_negative,
+                        "max_sensitivity": m.true_positive,
+                        "max_specificity": m.true_negative,
+                    }[cfg.mode]
+                    assert earned == expected
+    assert len(statuses) > 150 and statuses.count(INFEASIBLE) >= 5
 
 
 def test_go_left_follows_its_definition():
@@ -1184,7 +1195,7 @@ def test_node_state_reuse_is_exact(monkeypatch):
                     data = random_dataset(rng, rng.randrange(n, n + 4), sizes)
                     if len(set(data.labels.tolist())) < 2:
                         continue
-                    cfg = BuildConfig(mode=mode, forbid_trivial_branch=forbid,
+                    cfg = BuildConfig(forbid_trivial_branch=forbid,
                                       anchor=anchor, **floor)
                     before = derived[0]
                     shipped = _solve_record(data, preset(name), cfg)
@@ -1218,7 +1229,7 @@ def test_each_search_node_derives_only_its_branched_row(monkeypatch):
                 data = random_dataset(rng, rng.randrange(8, 12), [2, 3, 2])
                 if len(set(data.labels.tolist())) < 2:
                     continue
-                result = solve_milp(build_model(data, topo, BuildConfig(mode=mode, **floor)))
+                result = solve_milp(build_model(data, topo, BuildConfig(**floor)))
                 expected += n_decl + result.nodes_processed - 1
                 branched += result.nodes_processed > 1
     assert branched >= 30
@@ -1231,7 +1242,7 @@ def test_node_states_hold_no_per_sample_matrix(monkeypatch):
     # then a search whose root box keeps 14 of its categories, the anchor
     # fixed, so that its one closure holds thousands of tests.
     data = random_dataset(random.Random(5), 40, [2, 3, 17])
-    cfg = BuildConfig(mode="max_sensitivity", min_specificity=Fraction(1, 2),
+    cfg = BuildConfig(min_specificity=Fraction(1, 2),
                       forbid_trivial_branch=True)
     model = build_model(data, preset("depth2"), cfg)
     search = solver_mod._StructuredSearch(model, SolveConfig())
@@ -1267,7 +1278,7 @@ def test_node_bound_is_every_sample_correct(shape):
     for t in range(12):
         data = random_dataset(rng, rng.randrange(8, 30), [rng.randint(1, 4) for _ in range(3)])
         cfg = (BuildConfig(class_weight=Fraction(3, 2)), BuildConfig(anchor=False),
-               BuildConfig(mode="max_specificity", min_sensitivity=Fraction(1, 2)))[t % 3]
+               BuildConfig(min_sensitivity=Fraction(1, 2)))[t % 3]
         model = build_model(data, topo, cfg)
         search = solver_mod._StructuredSearch(model, SolveConfig())
         weights = {"accuracy": (1, Fraction(3, 2) if t % 3 == 0 else 1),
@@ -1362,7 +1373,7 @@ def _check_pinned_figures(monkeypatch, store_cells):
     monkeypatch.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", 2)
     data = random_dataset(random.Random(1), 20, [3, 3])
     cfg = BuildConfig(
-        mode="max_sensitivity", min_specificity=Fraction(1, 2), forbid_trivial_branch=True
+        min_specificity=Fraction(1, 2), forbid_trivial_branch=True
     )
     records = []
     model = build_model(data, preset("depth2_5"), cfg)
@@ -1388,7 +1399,7 @@ def test_constrained_clinic_solve_is_pinned():
     table = synthetic_clinic()
     data = encode(table, build_schema(table))
     train = data.subset(protocol_split(data.n_samples, 2)[0])
-    cfg = BuildConfig(mode="max_sensitivity", min_specificity=Fraction("0.95"))
+    cfg = BuildConfig(min_specificity=Fraction("0.95"))
     result = solve_milp(build_model(train, preset("depth2"), cfg))
     assert (result.status, result.objective) == (OPTIMAL, 326.0)
     tree = extract_tree(result, preset("depth2"), train.schema)
