@@ -100,7 +100,11 @@ class GroupSchema:
 
 @dataclass(frozen=True)
 class EncodedDataset:
-    """One-hot sample matrix with group structure and ±1 labels."""
+    """One-hot sample matrix with group structure and ±1 labels.
+
+    Every sample has exactly one feature set in each group, or construction
+    raises ``UnknownCategoryError``; the solvers rely on it.
+    """
 
     matrix: np.ndarray  # N x d, uint8, read-only
     labels: np.ndarray  # N, int8, read-only
@@ -109,6 +113,7 @@ class EncodedDataset:
     def __post_init__(self):
         self.matrix.setflags(write=False)
         self.labels.setflags(write=False)
+        _check_one_hot(self.matrix, self.schema)
 
     @property
     def n_samples(self) -> int:
@@ -198,13 +203,11 @@ class EncodedDataset:
             if len(row) != d or not set(row) <= {"0", "1"}:
                 raise MalformedRowError(f"row {i} is not {d} characters 0 or 1")
         cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-        data = EncodedDataset(
+        return EncodedDataset(
             matrix=(cells - ord("0")).reshape(len(rows), d),
             labels=np.array(labels, dtype=np.int8),
             schema=GroupSchema(groups=tuple(groups)),
         )
-        _check_one_hot(data)
-        return data
 
 
 def parse_table(
@@ -300,9 +303,7 @@ def encode(table: RawTable, schema: GroupSchema) -> EncodedDataset:
                     f"row {i} has more columns than the schema"
                 ) from None
     labels = np.array(table.labels, dtype=np.int8)
-    data = EncodedDataset(matrix=matrix, labels=labels, schema=schema)
-    _check_one_hot(data)
-    return data
+    return EncodedDataset(matrix=matrix, labels=labels, schema=schema)
 
 
 def binarize_for_simple_branching(data: EncodedDataset) -> EncodedDataset:
@@ -333,15 +334,22 @@ def _is_list(value, kind) -> bool:
     return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
-def _check_one_hot(data: EncodedDataset) -> None:
-    for g in range(data.schema.n_groups):
-        feats = list(data.schema.features_of(g))
-        sums = data.matrix[:, feats].sum(axis=1)
-        if not np.all(sums == 1):
-            bad = int(np.flatnonzero(sums != 1)[0])
-            raise UnknownCategoryError(
-                f"sample {bad} does not have exactly one feature set in group {g}"
-            )
+def _check_one_hot(matrix: np.ndarray, schema: GroupSchema) -> None:
+    # per sample and group, the features set to 1; a cell neither 0 nor 1 fails its group
+    sizes = schema.group_sizes
+    groups = np.zeros((matrix.shape[1], len(sizes)), dtype=np.float32)
+    features = [f for members in schema.groups for f, _, _ in members]
+    groups[features, np.repeat(np.arange(len(sizes)), sizes)] = 1
+    ones = matrix == 1
+    bad = ones @ groups != 1
+    if np.count_nonzero(ones) != np.count_nonzero(matrix):
+        bad |= (ones != matrix) @ groups != 0
+    if bad.any():
+        g = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise UnknownCategoryError(
+            f"sample {int(np.flatnonzero(bad[:, g])[0])} does not have exactly one "
+            f"feature set in group {g}"
+        )
 
 
 def _map_labels(raw_labels: list[str], positive_label: str | None) -> tuple[int, ...]:

@@ -406,16 +406,17 @@ class _NodeState:
 
     ``allowed`` holds ``(group, fixed features, free features)`` per allowed
     group, ``count`` their number of tests.  The first closure that needs
-    them fills ``tests`` and each test's 0/1 feature row ``member``; no field
-    has a column per sample.
+    them fills ``tests`` and each test's 0/1 feature row ``member``, and
+    ``_pair_tables`` each test's ``pair_member`` row; no field has a column
+    per sample.
     """
 
-    __slots__ = ("allowed", "count", "tests", "member")
+    __slots__ = ("allowed", "count", "tests", "member", "pair_member")
 
     def __init__(self, allowed):
         self.allowed = allowed
         self.count = sum(1 << len(free) for _, _, free in allowed)
-        self.tests = self.member = None
+        self.tests = self.member = self.pair_member = None
 
 
 class _StructuredSearch:
@@ -447,7 +448,10 @@ class _StructuredSearch:
     (``_group_tables``), or in closed form when the floor is 0
     (``_leaf_tables``).  A branched node sends the child sample sets of all
     of its tests through its children as one batch and merges their tables
-    (``_merge``).  Every subtree's tables but the root's
+    (``_merge``).  With no floor, a branched node whose two children are
+    leaf-adjacent (a depth-2 node) routes no child set: its children's
+    class counts are sums of pair counts, one product per routed set
+    (``_pair_tables``).  Every subtree's tables but the root's
     are served from one per-solve store of tables (``_stored``), keyed by the
     routed set and, at a branched node, by the box rows that fix its
     subtree's tests, so each distinct table is computed once per solve.  The
@@ -519,6 +523,17 @@ class _StructuredSearch:
         self.leaf_rows = max(
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
+        # with no floor, a branched node whose children are both leaf-adjacent
+        # takes its tables from pair counts (``_pair_tables``): those of each
+        # feature but the groups' anchors, then of the whole mask
+        self.pair_nodes = frozenset() if self.floor else frozenset(
+            k for k in self.decl
+            if {c for _, c in self.topo.children[k]} <= self.topo.leaf_adjacent
+        )
+        self.pair_features = np.delete(np.arange(self.d), self.anchor)
+        self.pair_samples = np.vstack(
+            [self.feature_samples[self.pair_features], np.ones((1, self.n), np.float32)]
+        ) if self.pair_nodes else None
         # per branched node below the root, the positions of the branched
         # nodes in its subtree: their box rows fix the subtree's tests
         self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl if k != self.topo.root}
@@ -566,8 +581,7 @@ class _StructuredSearch:
             everyone = np.ones((1, self.n), dtype=bool)
             # the best scaled objective meeting the floor (-inf if none)
             value = float(self._computed(self.topo.root, everyone, closure)[0][0, self.floor])
-            # the loop compares objectives; _recover wants the scaled value
-            return value / self.scale, (value, closure), ()
+            return value / self.scale, closure, ()
         p_star, j_star = bit
         child_hi = zhi.copy()
         child_hi[p_star, j_star] = 0
@@ -581,11 +595,9 @@ class _StructuredSearch:
 
     def assignment(self, solution) -> dict[str, float]:
         """The winning closure's tests, recovered and written as an assignment."""
-        value, closure = solution
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
-        root = ("node", self.topo.root)
-        self._recover(root, everyone, self.floor, value, closure, tests)
+        self._recover(("node", self.topo.root), everyone, self.floor, solution, tests)
         return self._assignment_from_tests(tests)
 
     def _branch_bit(self, zlo, zhi):
@@ -737,9 +749,11 @@ class _StructuredSearch:
 
         Also returns, per entry, the first test (or group, at a
         leaf-adjacent node) that reaches it.  A leaf-adjacent node runs the
-        leaf kernel in ``leaf_rows`` chunks.  A branched node sends the child
-        masks of a chunk of its tests through each child as one batch; the
-        root keeps only the entry that meets the floor.
+        leaf kernel in ``leaf_rows`` chunks.  A depth-2 node with no floor
+        (``pair_nodes``) computes its children's tables too, from pair counts.
+        Any other branched node sends the child masks of a chunk of its tests
+        through each child as one batch; the root keeps only the entry that
+        meets the floor.
         """
         best = np.full((len(masks), self.floor + 1), -np.inf)
         winners = np.zeros(best.shape, dtype=np.int64)
@@ -753,6 +767,8 @@ class _StructuredSearch:
                 winners[at] = tables.argmax(axis=1)
             return best, winners
         state = closure[0][self.decl_pos[k]]
+        if k in self.pair_nodes:
+            return self._pair_tables(state, masks)
         keep = self.floor if k == self.topo.root else 0
         left_child, right_child = self.topo.children[k]
         step = max(1, CHUNK_ROWS // len(masks))
@@ -770,6 +786,62 @@ class _StructuredSearch:
             best[better] = chunk_best[better]
             winners[better] = merged.argmax(axis=1)[better] + lo
         return best, winners
+
+    def _pair_tables(self, state, masks):
+        """A depth-2 node's tables and winners from pair counts, with no floor.
+
+        One product per chunk of masks gives, per mask, the class counts of
+        every (pair row, feature slot) pair.  Every sample has exactly one
+        feature per group (``EncodedDataset`` checks it), so a test's left
+        child counts are a sum of pair rows (``_pair_member``) and its right
+        child's are the mask's less those.  Both children get the closed
+        form of ``_leaf_tables``; the node's table is their sum, best over
+        the tests in order.  The counts are integers, so tables and winners
+        are those of routing each child mask, bit for bit.
+        """
+        best = np.full((len(masks), 1), -np.inf)
+        winners = np.zeros(best.shape, dtype=np.int64)
+        member = self._pair_member(state)
+        # class counts -> left and right gains, slot axes first
+        sides = (2,) + self.slot_used.shape + (-1,)
+        weights = self.side_weights[0, :, None, None, None]
+        # chunks of masks whose product with the pair rows fits CHUNK_CELLS
+        rows = max(1, CHUNK_CELLS // self.pair_samples.size)
+        for r in range(0, len(masks), rows):
+            at = slice(r, r + rows)
+            chunk = masks[at]
+            routed = (chunk[:, None] * self.pair_samples).reshape(-1, self.n)
+            # (class, slot x mask, pair row)
+            pairs = (self.columns.T @ routed.T).reshape(2, -1, len(self.pair_samples))
+            totals = pairs[..., -1].reshape(2, -1, len(chunk))
+            step = max(1, CHUNK_CELLS // (2 * self.slot_used.size * len(chunk)))
+            for lo in range(0, len(member), step):
+                left = pairs @ member[lo:lo + step].T
+                right = totals[..., None] - left.reshape(totals.shape + (-1,))
+                left_best, right_best = (
+                    self._closed_form(*(counts.reshape(sides) * weights)).max(axis=0)
+                    for counts in (left, right)
+                )
+                merged = (left_best + right_best).reshape(len(chunk), -1)
+                chunk_best = merged.max(axis=1)
+                better = chunk_best > best[at, 0]
+                best[at, 0][better] = chunk_best[better]
+                winners[at, 0][better] = merged.argmax(axis=1)[better] + lo
+        return best, winners
+
+    def _pair_member(self, state):
+        """Per test of ``state``, the weights of the pair rows that it sends left.
+
+        A test that holds its group's anchor sends left the whole mask less
+        the group's other features; any other test, its own features.
+        """
+        if state.pair_member is None:
+            groups = np.array([g for g, _ in state.tests], dtype=np.int64)
+            member = state.member[:, self.pair_features]
+            held = state.member[np.arange(len(groups)), np.array(self.anchor)[groups]][:, None]
+            others = self.group_of[self.pair_features] == groups[:, None]
+            state.pair_member = np.hstack([np.where(held == 1, member - others, member), held])
+        return state.pair_member
 
     def _go_left(self, state, at) -> np.ndarray:
         """Per test of ``state.tests[at]``, the samples it sends left.
@@ -816,15 +888,22 @@ class _StructuredSearch:
         """
         if self.floor:
             return self._group_tables(gains)
-        left, right = gains[:, 0], gains[:, 1]
-        best = np.maximum(left, right).sum(axis=2)
+        return self._closed_form(*gains[:, :2].transpose(1, 2, 3, 0)).T[..., None]
+
+    def _closed_form(self, left, right) -> np.ndarray:
+        """``(groups, ...)`` accuracy tables from ``(groups, width, ...)`` gains.
+
+        The slot axes come first, so that each step runs over the rest.
+        """
+        best = np.maximum(left, right).sum(axis=1)
         if self.bcfg.forbid_trivial_branch:
             # padding slots hold no feature to move
-            to_right = np.where(self.slot_used, left - right, np.inf).min(axis=2)
-            to_left = np.where(self.slot_used, right - left, np.inf).min(axis=2)
+            used = self.slot_used[..., None]
+            to_right = np.where(used, left - right, np.inf).min(axis=1)
+            to_left = np.where(used, right - left, np.inf).min(axis=1)
             best -= np.maximum(to_right, 0.0) + np.maximum(to_left, 0.0)
-            best[:, self.slot_used.sum(axis=1) < 2] = -np.inf
-        return best[..., None]
+            best[self.slot_used.sum(axis=1) < 2] = -np.inf
+        return best
 
     def _group_tables(self, gains) -> np.ndarray:
         """``(len(gains), groups, floor + 1)`` best leaf-adjacent test of each group.
@@ -872,16 +951,18 @@ class _StructuredSearch:
 
     # -- recovering the winning tests ---------------------------------------------
 
-    def _recover(self, child, mask, key: int, value, closure, tests):
-        """Put into ``tests`` the tests that earn ``value`` at ``key``.
+    def _recover(self, child, mask, key: int, closure, tests):
+        """Put into ``tests`` the tests that earn entry ``key`` of the subtree's table.
 
         Each node's test (its group, at a leaf-adjacent node) is the first to
-        reach the entry, computed again for this one mask; the children's
-        tables come from the store.  Splits of the count are taken in order;
-        within a group each feature goes right unless that loses ``value``.
+        reach the entry, computed again for this one mask.  An entry above 0
+        is split between the children in the first way that reaches it, read
+        from their stored tables; entry 0 has only one split.  Within a group
+        each feature goes right unless that loses the entry.
         """
         k = child[1]
-        winner = int(self._computed(k, mask[None], closure)[1][0, key])
+        best, winners = self._computed(k, mask[None], closure)
+        value, winner = best[0, key], int(winners[0, key])
         if k in self.topo.leaf_adjacent:
             g = winner
             gains = self._gains(mask[None])
@@ -901,12 +982,13 @@ class _StructuredSearch:
         go = self._go_left(state, [winner])[0]
         left_child, right_child = self.topo.children[k]
         left_mask, right_mask = mask & go, mask & ~go
-        left = self._stored(left_child[1], left_mask[None], closure)
-        right = self._stored(right_child[1], right_mask[None], closure)
-        t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
-        u = key - t
-        self._recover(left_child, left_mask, t, left[0, t], closure, tests)
-        self._recover(right_child, right_mask, u, right[0, u], closure, tests)
+        t = 0
+        if key:
+            left = self._stored(left_child[1], left_mask[None], closure)
+            right = self._stored(right_child[1], right_mask[None], closure)
+            t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
+        self._recover(left_child, left_mask, t, closure, tests)
+        self._recover(right_child, right_mask, key - t, closure, tests)
 
     # -- incumbent assignment ------------------------------------------------------
 

@@ -19,7 +19,7 @@ from grouptree.errors import (
     NonBinaryLabelError,
     UnknownCategoryError,
 )
-from tests.conftest import corrupt
+from tests.conftest import corrupt, make_schema, random_dataset
 
 CSV_YESNO = """color,size,verdict
 red,small,yes
@@ -234,6 +234,35 @@ def test_matrix_is_read_only():
     data = encode(table, build_schema(table))
     with pytest.raises(ValueError):
         data.matrix[0, 0] = 0
+
+
+def test_a_matrix_that_is_not_one_hot_is_refused():
+    # Random 10-sample instances with groups (3, 2) and each bit set with
+    # probability 1/2: built directly, they used to be accepted, and the
+    # oracle, the LP engine and the structured engine gave three answers on
+    # them, the structured one above the sample count.  Every one is refused
+    # now, naming the first such sample of the first group that has one.
+    rng = random.Random(7)
+    schema = make_schema([3, 2])
+    for _ in range(40):
+        matrix = np.array([[rng.random() < 0.5 for _ in range(5)] for _ in range(10)],
+                          dtype=np.uint8)
+        labels = np.array([rng.choice((-1, 1)) for _ in range(10)], dtype=np.int8)
+        sums = [matrix[:, :3].sum(axis=1), matrix[:, 3:].sum(axis=1)]
+        g = next(g for g in (0, 1) if (sums[g] != 1).any())
+        i = int(np.flatnonzero(sums[g] != 1)[0])
+        message = f"sample {i} does not have exactly one feature set in group {g}"
+        with pytest.raises(UnknownCategoryError, match=f"^{message}$"):
+            EncodedDataset(matrix=matrix, labels=labels, schema=schema)
+    # a group whose cells sum to 1 but are not 0 and 1 is no one-hot group
+    # either (the structured engine scored 13 on 8 such samples)
+    for row in ([2, -1, 0, 1, 0], [0, 2, -1, 0, 1], [1, 2, -2, 0, 1]):
+        with pytest.raises(UnknownCategoryError, match="^sample 1 .* in group 0$"):
+            EncodedDataset(matrix=np.array([[1, 0, 0, 1, 0], row], dtype=np.int8),
+                           labels=np.ones(2, dtype=np.int8), schema=schema)
+    # a one-hot matrix, and any subset of it, is accepted
+    data = random_dataset(rng, 10, [3, 2])
+    assert data.subset([1, 3]).matrix.shape == (2, 5)
 
 
 def test_csv_round_trip_via_to_csv():

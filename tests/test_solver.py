@@ -30,9 +30,9 @@ from grouptree.solver import (
     solve_lp,
     solve_milp,
 )
-from grouptree.topology import PRESET_SHAPES, preset
+from grouptree.topology import PRESET_SHAPES, parse_shape, preset
 from grouptree.tree import evaluate
-from tests.conftest import random_dataset
+from tests.conftest import make_schema, random_dataset
 
 
 def random_sized_dataset(rng, max_n=30):
@@ -721,39 +721,72 @@ def _assert_nontrivial(tree):
         assert 0 < len(subset) < tree.group_sizes[g]
 
 
+def _lowers(data, topo, expected, **objective):
+    """Whether forbidding trivial tests lowers the optimum (None: no tree at all)."""
+    allowed = enumerate_optimal(data, topo, **objective)[0]
+    return expected is None or expected < allowed
+
+
 def test_forbid_trivial_against_brute_force(rng):
-    # deeper shapes merge tables below the root; weights check the scaling
+    # deeper shapes merge tables below the root; weights check the scaling.
+    # A node below the root can send all of its samples one way by a test on
+    # an ancestor's group, so only the root can lose by the rule: on the
+    # stumps over one class every allowed test is trivial, so there the
+    # forbidding optimum must be the lower one.
     weights = (Fraction(3, 2), Fraction(1, 3))
     cases = [("depth2", 1)] * 3 + [("depth2", w) for w in weights]
     cases += [("depth2_5", w) for w in (1,) + weights] + [("depth3", 1)]
+    cases += [("(# #)", w) for w in (1,) + weights]
+    lowered = 0
     for name, weight in cases:
-        topo = preset(name)
-        data = random_dataset(rng, 14 if name == "depth2" else 10, [2, 2])
+        if name == "(# #)":
+            topo = parse_shape(name)
+            data = random_dataset(rng, 10, [2, 2], labels=[rng.choice((-1, 1))] * 10)
+        else:
+            topo = preset(name)
+            data = random_dataset(rng, 14 if name == "depth2" else 10, [2, 2])
         expected = _oracle_nontrivial(data, topo, class_weight=weight)
+        lowered += _lowers(data, topo, expected, class_weight=weight)
         cfg = BuildConfig(forbid_trivial_branch=True, class_weight=weight)
-        methods = ("auto", "lp") if name == "depth2" else ("auto",)
+        methods = ("auto", "lp") if name in ("depth2", "(# #)") else ("auto",)
         for method in methods:
             result = solve_milp(build_model(data, topo, cfg), method=method)
             assert result.status == OPTIMAL
             assert abs(result.objective - float(expected)) < 1e-7, method
             _assert_nontrivial(extract_tree(result, topo, data.schema))
+    assert lowered == 3
 
 
 def test_forbid_trivial_constrained_against_brute_force(rng):
+    # The stumps last: each category holds one sample of each class and
+    # every floored-class sample must be right, which only a trivial test
+    # does, so with trivial tests forbidden there is no tree at all.
     cases = [("depth2", "max_sensitivity")] * 3 + [("depth2", "max_specificity")] * 2
     cases += [("depth2_5", "max_sensitivity"), ("depth2_5", "max_specificity")]
     cases += [("depth3", "max_sensitivity")]
+    cases += [("(# #)", "max_sensitivity"), ("(# #)", "max_specificity")]
+    lowered = 0
     for name, mode in cases:
-        topo = preset(name)
-        data = random_dataset(rng, 12 if name == "depth2" else 10, [2, 2])
-        floored = (data.labels == (-1 if mode == "max_sensitivity" else 1)).sum()
+        floored_label = -1 if mode == "max_sensitivity" else 1
+        if name == "(# #)":
+            topo, rate = parse_shape(name), Fraction(1)
+            data = EncodedDataset(
+                matrix=np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=np.uint8),
+                labels=np.array([1, 1, -1, -1], dtype=np.int8) * floored_label,
+                schema=make_schema([2]),
+            )
+        else:
+            topo, rate = preset(name), Fraction(1, 2)
+            data = random_dataset(rng, 12 if name == "depth2" else 10, [2, 2])
+        floored = (data.labels == floored_label).sum()
         if floored == 0 or floored == data.n_samples:
             continue
         rate_key = "min_specificity" if mode == "max_sensitivity" else "min_sensitivity"
-        expected = _oracle_nontrivial(data, topo, **{rate_key: Fraction(1, 2)})
-        cfg = BuildConfig(forbid_trivial_branch=True, **{rate_key: Fraction(1, 2)})
+        expected = _oracle_nontrivial(data, topo, **{rate_key: rate})
+        lowered += _lowers(data, topo, expected, **{rate_key: rate})
+        cfg = BuildConfig(forbid_trivial_branch=True, **{rate_key: rate})
         model = build_model(data, topo, cfg)
-        methods = ("auto", "lp") if name == "depth2" else ("auto",)
+        methods = ("auto", "lp") if name in ("depth2", "(# #)") else ("auto",)
         for method in methods:
             result = solve_milp(model, method=method)
             if expected is None:
@@ -762,6 +795,7 @@ def test_forbid_trivial_constrained_against_brute_force(rng):
                 assert result.status == OPTIMAL
                 assert abs(result.objective - float(expected)) < 1e-7, method
                 _assert_nontrivial(extract_tree(result, topo, data.schema))
+    assert lowered == 2
 
 
 def test_forbid_trivial_constrained_large_group_is_feasible():
@@ -911,6 +945,59 @@ def test_closed_form_leaf_tables_match_the_knapsack(forbid):
         assert np.array_equal(closed.argmax(axis=1), knapsack.argmax(axis=1))
 
 
+@pytest.mark.parametrize("store_cells", [None, 40], ids=["store", "tiny-store"])
+@pytest.mark.parametrize("forbid", [False, True], ids=["any-test", "forbid-trivial"])
+def test_pair_tables_match_routed_tables(monkeypatch, store_cells, forbid):
+    # A depth-2 node in accuracy mode (the depth2 root, node 3 of
+    # imbalanced) takes its tables from pair counts, without routing a child
+    # mask or reading the store.  Its tables, their signs and its winners
+    # are those of routing each test's child masks through the leaf kernel
+    # and merging, bit for bit: weights 1, 3/2, 2/5 and 7, anchored and
+    # unanchored tests, a group of one feature (-inf tables when trivial
+    # tests are forbidden; with two such groups there is no test at all),
+    # empty and full masks, and node 3's rows served from a tiny store.
+    if store_cells is not None:
+        monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
+    rng = random.Random(23)
+    gen = np.random.default_rng(23)
+    checked = 0
+    for t in range(9):
+        weight = (1, Fraction(3, 2), Fraction(2, 5), 7)[t % 4]
+        sizes = [1, 1] if t == 8 else [rng.randint(2, 4), 1, rng.randint(2, 5)]
+        n = rng.randrange(6, 30)
+        data = random_dataset(rng, n, sizes)
+        masks = np.vstack([np.zeros((1, n), bool), np.ones((1, n), bool),
+                           gen.random((12, n)) < gen.random((12, 1))])
+        cfg = BuildConfig(class_weight=weight, forbid_trivial_branch=forbid, anchor=t % 2 == 0)
+        for shape, k in (("depth2", 1), ("imbalanced", 3)):
+            search = solver_mod._StructuredSearch(build_model(data, preset(shape), cfg),
+                                                  SolveConfig())
+            assert search.pair_nodes == {k}
+            zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
+            states = [search._tested(state) for state in _derived(search, zlo, np.ones_like(zlo))]
+            closure = states, search._signatures(zlo, np.ones_like(zlo))
+            state = states[search.decl_pos[k]]
+            with monkeypatch.context() as m:
+                for name in ("_go_left", "_stored"):
+                    m.setattr(search, name, None)
+                best, winners = search._computed(k, masks, closure)
+            if not state.tests:
+                assert forbid and sizes == [1, 1]
+                assert (best == -np.inf).all() and not winners.any()
+                continue
+            go = search._go_left(state, slice(None))
+            leaf = [search._leaf_tables(search._gains(children.reshape(-1, n))).max(axis=1)
+                    for children in (masks[:, None] & go, masks[:, None] & ~go)]
+            merged = search._merge(*leaf, 0).reshape(len(masks), len(state.tests), 1)
+            assert np.array_equal(best, merged.max(axis=1))
+            assert np.array_equal(np.signbit(best), np.signbit(merged.max(axis=1)))
+            assert np.array_equal(winners, merged.argmax(axis=1))
+            if k != search.topo.root:
+                assert np.array_equal(search._stored(k, masks, closure), best)
+            checked += 1
+    assert checked == (16 if forbid else 18)
+
+
 def _sends_left(data, tests):
     """Test-local reference: per (group, subset) test, the samples it sends left.
 
@@ -1048,14 +1135,16 @@ _OBJECTIVES = ({}, {"class_weight": Fraction(3, 2)}, {"min_specificity": Fractio
 def test_engines_agree_on_every_objective_and_forbid_setting():
     # The structured engine against the oracle on every shape, and against
     # the LP engine too on depth2: each mode, weights 1 and 3/2, trivial
-    # tests allowed or forbidden.  Groups of one category leave some
-    # forbidding solves without any test, so some answers are infeasible.
+    # tests allowed or forbidden, anchors on or off (anchoring filters the
+    # tests that a closure reads); imbalanced holds a depth-2 node two
+    # levels down.  Groups of one category leave some forbidding solves
+    # without any test, so some answers are infeasible.
     rng = random.Random(19)
     statuses = []
-    for name in ("depth2", "depth2_5", "depth3"):
+    for name in ("depth2", "depth2_5", "depth3", "imbalanced"):
         topo = preset(name)
         for objective, forbid in itertools.product(_OBJECTIVES, (False, True)):
-            for _ in range(6):
+            for draw in range(6):
                 sizes = [rng.randint(1, 3) for _ in range(2)]
                 data = random_dataset(rng, rng.randrange(8, 13), sizes)
                 if len(set(data.labels.tolist())) < 2:
@@ -1065,7 +1154,8 @@ def test_engines_agree_on_every_objective_and_forbid_setting():
                                                  budget=10**12, **objective)[0]
                 except InfeasibleError:
                     expected = None
-                cfg = BuildConfig(forbid_trivial_branch=forbid, **objective)
+                cfg = BuildConfig(forbid_trivial_branch=forbid, anchor=draw % 2 == 0,
+                                  **objective)
                 model = build_model(data, topo, cfg)
                 for method in ("auto", "lp") if name == "depth2" else ("auto",):
                     result = solve_milp(model, method=method)
@@ -1085,7 +1175,7 @@ def test_engines_agree_on_every_objective_and_forbid_setting():
                         "max_specificity": m.true_negative,
                     }[cfg.mode]
                     assert earned == expected
-    assert len(statuses) > 150 and statuses.count(INFEASIBLE) >= 5
+    assert len(statuses) > 200 and statuses.count(INFEASIBLE) >= 5
 
 
 def test_go_left_follows_its_definition():
