@@ -102,8 +102,11 @@ class GroupSchema:
 class EncodedDataset:
     """One-hot sample matrix with group structure and ±1 labels.
 
-    Every sample has exactly one feature set in each group, or construction
-    raises ``UnknownCategoryError``; the solvers rely on it.
+    Construction checks what the solvers rely on: the matrix has one column
+    per feature of the schema and the labels are one per row
+    (``MalformedRowError``), every label is -1 or +1
+    (``NonBinaryLabelError``), and every sample has exactly one feature set
+    in each group (``UnknownCategoryError``).
     """
 
     matrix: np.ndarray  # N x d, uint8, read-only
@@ -111,9 +114,18 @@ class EncodedDataset:
     schema: GroupSchema
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.labels.setflags(write=False)
-        _check_one_hot(self.matrix, self.schema)
+        matrix, labels = self.matrix, self.labels
+        if matrix.ndim != 2 or matrix.shape[1] != self.schema.n_features:
+            raise MalformedRowError(
+                f"a matrix of shape {matrix.shape} for {self.schema.n_features} features"
+            )
+        if labels.shape != matrix.shape[:1]:
+            raise MalformedRowError(f"labels of shape {labels.shape} for {len(matrix)} rows")
+        if np.count_nonzero(np.abs(labels) != 1):
+            raise NonBinaryLabelError("labels must be -1 or +1")
+        matrix.setflags(write=False)
+        labels.setflags(write=False)
+        _check_one_hot(matrix, self.schema)
 
     @property
     def n_samples(self) -> int:
@@ -195,17 +207,19 @@ class EncodedDataset:
             groups.append(tuple((d + t, entry["column"], c) for t, c in enumerate(cats)))
             d += len(cats)
         rows, labels = payload["matrix"], payload["labels"]
-        if len(labels) != len(rows):
-            raise MalformedRowError(f"{len(labels)} labels for {len(rows)} rows")
-        if not all(type(y) is int and y in (-1, 1) for y in labels):
+        if not all(type(y) is int for y in labels):
             raise NonBinaryLabelError("labels must be -1 or +1")
         for i, row in enumerate(rows):
             if len(row) != d or not set(row) <= {"0", "1"}:
                 raise MalformedRowError(f"row {i} is not {d} characters 0 or 1")
         cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+        try:
+            labels = np.array(labels, dtype=np.int8)
+        except OverflowError:  # beyond int8, so not -1 or +1 either
+            raise NonBinaryLabelError("labels must be -1 or +1") from None
         return EncodedDataset(
             matrix=(cells - ord("0")).reshape(len(rows), d),
-            labels=np.array(labels, dtype=np.int8),
+            labels=labels,
             schema=GroupSchema(groups=tuple(groups)),
         )
 

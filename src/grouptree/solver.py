@@ -3,8 +3,14 @@
 Two engines share one result contract and one best-bound loop
 (``_best_first``): node order, the gap prune, the time and node limits,
 progress records, incumbent updates and the reported statuses are the same
-code for both.  An engine supplies only its node work, a bound step and a
-split step:
+code for both.  A ``SolveResult`` carries the status, the objective, the
+best bound and the work counters, and the winner in one of two forms: the
+structured search returns its (group, feature subset) test per decision
+node in ``tests`` and no variable values; the LP engine returns every
+variable's value in ``assignment`` and ``tests`` None.  ``extract_tree``
+reads ``tests`` when they are set and parses the ``V``/``Z`` names only
+when they are not.  An engine supplies only its node work, a bound step
+and a split step:
 
 * a structured search used for models produced by ``build_model``: it
   branches on the integral feature-selection bits, propagates the one-group
@@ -94,6 +100,8 @@ class SolveResult:
     assignment: dict[str, float] = field(default_factory=dict)
     nodes_processed: int = 0
     lp_iterations: int = 0
+    # node -> (group, features): set by the structured search, None otherwise
+    tests: dict[int, tuple[int, frozenset[int]]] | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -170,32 +178,38 @@ def extract_tree(
     topology: TreeTopology,
     schema: GroupSchema,
 ) -> DecisionTree:
-    """Read the classifier out of a solved assignment."""
+    """Read the classifier out of a solve: its tests, or its variable values.
+
+    A structured result's tests are taken as they are; an LP result's are
+    parsed from the ``V_k_g`` and ``Z_k_j`` values, each within 1e-6 of 1.
+    Either way the tree is checked against ``topology`` and ``schema``: a
+    result read with a topology of other decision nodes raises
+    ``MalformedTreeError``.
+    """
     if result.status not in (OPTIMAL, FEASIBLE_TIME_LIMIT):
         raise InfeasibleError(f"the solve found no tree: status {result.status}")
-    assignment = result.assignment
-    tests = {}
-    for k in topology.decision_nodes:
-        chosen = None
-        best_val = -1.0
-        for g in range(schema.n_groups):
-            val = assignment.get(f"V_{k}_{g}", 0.0)
-            if val > best_val + 1e-12:
-                best_val = val
-                chosen = g
-        if chosen is None or best_val < 1.0 - _TOL:
-            raise FractionalSelectionError(
-                f"no group within tolerance of 1 at node {k} (max {best_val:.6f})"
+    tests = result.tests
+    if tests is None:  # an LP result: per node, the group whose V is highest
+        tests, assignment = {}, result.assignment
+        for k in topology.decision_nodes:
+            chosen, best_val = None, -1.0
+            for g in range(schema.n_groups):
+                val = assignment.get(f"V_{k}_{g}", 0.0)
+                if val > best_val + 1e-12:
+                    best_val, chosen = val, g
+            if chosen is None or best_val < 1.0 - _TOL:
+                raise FractionalSelectionError(
+                    f"no group within tolerance of 1 at node {k} (max {best_val:.6f})"
+                )
+            subset = frozenset(
+                j
+                for j in schema.features_of(chosen)
+                if assignment.get(f"Z_{k}_{j}", 0.0) > 1.0 - _TOL
             )
-        subset = frozenset(
-            j
-            for j in schema.features_of(chosen)
-            if assignment.get(f"Z_{k}_{j}", 0.0) > 1.0 - _TOL
-        )
-        tests[k] = (chosen, subset)
+            tests[k] = (chosen, subset)
     return DecisionTree(
         topology=topology,
-        tests=tests,
+        tests=dict(tests),
         n_features=schema.n_features,
         group_sizes=schema.group_sizes,
     )
@@ -217,9 +231,10 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
     * ``engine.split(node, work)`` on a node that survived the gap prune:
       ``(value, solution, children)``, a candidate incumbent (``value`` -inf
       for none) and the children to push, in order;
-    * ``engine.assignment(solution)`` of the winner, ``engine.sign`` to turn
-      the maximised value back to the model's sense, and
-      ``engine.iterations`` for the pivots spent.
+    * ``engine.answer(solution)`` of the winner: ``(assignment, tests)``,
+      the values of the model's variables or the tests of the tree, as the
+      result carries them; ``engine.sign`` to turn the maximised value back
+      to the model's sense, and ``engine.iterations`` for the pivots spent.
     """
     config = engine.config
     # a bound within the gap of the incumbent cannot beat it: by less than
@@ -275,14 +290,16 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
     bound = best
     if hit_limit:
         bound = max(best, max(-b for b, _, _ in heap))
+    assignment, tests = engine.answer(best_at)
     # + 0.0: a minimum of 0 reads 0.0, not -0.0
     return SolveResult(
         FEASIBLE_TIME_LIMIT if hit_limit else OPTIMAL,
         engine.sign * best + 0.0,
         engine.sign * bound + 0.0,
-        engine.assignment(best_at),
+        assignment,
         nodes,
         engine.iterations,
+        tests,
     )
 
 
@@ -392,8 +409,9 @@ class _LpBranchAndBound:
         # a fractional bound on an integer variable can leave a child no range
         return -np.inf, None, [c for c in children if c[frac_j][0] <= c[frac_j][1]]
 
-    def assignment(self, x) -> dict[str, float]:
-        return {v.name: float(x[j]) for j, v in enumerate(self.model.variables)}
+    def answer(self, x):
+        """Every variable's value at the winning vertex, and no tests."""
+        return {v.name: float(x[j]) for j, v in enumerate(self.model.variables)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +476,8 @@ class _StructuredSearch:
     root's table is computed directly: no other closure has its box.  The
     winning tests are recovered afterwards along the winning path, where each
     node's winner is computed again for its one routed set (``_recover``).
+    They are the search's answer: its result carries them as ``tests``, with
+    no variable values.
     """
 
     sign = 1.0  # built models maximise
@@ -593,12 +613,12 @@ class _StructuredSearch:
             (child_lo, zhi.copy(), states, changed),
         )
 
-    def assignment(self, solution) -> dict[str, float]:
-        """The winning closure's tests, recovered and written as an assignment."""
+    def answer(self, solution):
+        """No variable values, and the winning closure's tests, recovered."""
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
         self._recover(("node", self.topo.root), everyone, self.floor, solution, tests)
-        return self._assignment_from_tests(tests)
+        return {}, tests
 
     def _branch_bit(self, zlo, zhi):
         """The first undecided bit, or None when the box decides every bit.
@@ -975,10 +995,11 @@ class _StructuredSearch:
                 else:
                     gains[0, 1, g, t] = -np.inf
                     subset.append(j)
-            tests[k] = (g, tuple(subset))
+            tests[k] = (g, frozenset(subset))
             return
         state = closure[0][self.decl_pos[k]]
-        tests[k] = state.tests[winner]
+        g, subset = state.tests[winner]
+        tests[k] = (g, frozenset(subset))
         go = self._go_left(state, [winner])[0]
         left_child, right_child = self.topo.children[k]
         left_mask, right_mask = mask & go, mask & ~go
@@ -989,29 +1010,3 @@ class _StructuredSearch:
             t = int(np.flatnonzero(left[0, : key + 1] + right[0, key::-1] == value)[0])
         self._recover(left_child, left_mask, t, closure, tests)
         self._recover(right_child, right_mask, key - t, closure, tests)
-
-    # -- incumbent assignment ------------------------------------------------------
-
-    def _assignment_from_tests(self, tests) -> dict[str, float]:
-        tree = DecisionTree(
-            topology=self.topo,
-            tests={k: (g, frozenset(s)) for k, (g, s) in tests.items()},
-            n_features=self.d,
-            group_sizes=self.schema.group_sizes,
-        )
-        leaves = tree.route_all(self.data.matrix)
-        assignment: dict[str, float] = {}
-        for k in self.topo.decision_nodes:
-            g, subset = tests[k]
-            for gg in range(self.n_groups):
-                assignment[f"V_{k}_{gg}"] = 1.0 if gg == g else 0.0
-            member = set(subset)
-            for j in range(self.d):
-                assignment[f"Z_{k}_{j}"] = 1.0 if j in member else 0.0
-        for var in self.model.variables:
-            if not var.name.startswith("C_"):
-                continue
-            _, i_s, b_s = var.name.split("_")
-            assignment[var.name] = 1.0 if leaves[int(i_s)] == int(b_s) else 0.0
-        return assignment
-

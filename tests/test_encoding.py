@@ -194,6 +194,7 @@ ONE_FEATURE = '{"schema": {"groups": [{"column": "c", "categories": ["x"]}]}, '
     [
         ('{"schema": {"groups": [{"column": "c", "categories": ["x", "y"]}]}, '
          '"labels": [1, 5], "matrix": ["10", "01"]}', NonBinaryLabelError),
+        (ONE_FEATURE + '"labels": [300], "matrix": ["1"]}', NonBinaryLabelError),
         (ONE_FEATURE + '"labels": [1, -1], "matrix": ["1", "10"]}', MalformedRowError),
         ("not json", MalformedRowError),
         ('{"labels": [1], "matrix": ["1"]}', MalformedRowError),
@@ -205,8 +206,8 @@ ONE_FEATURE = '{"schema": {"groups": [{"column": "c", "categories": ["x"]}]}, '
         ('{"schema": {"groups": [{"column": "c", "categories": []}]}, '
          '"labels": [], "matrix": []}', MalformedRowError),
     ],
-    ids=["label-5", "row-too-wide", "not-json", "no-schema", "cell-a", "not-object",
-         "label-count", "bool-label", "not-one-hot", "empty-group"],
+    ids=["label-5", "label-300", "row-too-wide", "not-json", "no-schema", "cell-a",
+         "not-object", "label-count", "bool-label", "not-one-hot", "empty-group"],
 )
 def test_malformed_dataset_json_is_rejected(text, error):
     with pytest.raises(error):
@@ -263,6 +264,28 @@ def test_a_matrix_that_is_not_one_hot_is_refused():
     # a one-hot matrix, and any subset of it, is accepted
     data = random_dataset(rng, 10, [3, 2])
     assert data.subset([1, 3]).matrix.shape == (2, 5)
+
+
+def test_a_dataset_of_bad_shape_or_labels_is_refused():
+    # Each of these used to be accepted.  On the 0/1 labels the structured
+    # engine, the oracle and the LP engine gave 8, 8 and 7 on depth2; a label
+    # count short of the rows failed in build_model with a raw numpy error,
+    # and a matrix narrower than its schema with a raw IndexError.
+    good = random_dataset(random.Random(3), 12, [2, 3])
+    m, y, schema = good.matrix.copy(), good.labels.copy(), good.schema
+    two = make_schema([1, 1])
+    cases = [
+        (m, (y > 0).astype(np.int8), schema, NonBinaryLabelError),  # labels 0 and 1
+        (m, np.where(y > 0, 127, -1).astype(np.int8), schema, NonBinaryLabelError),
+        (m, y[:11].copy(), schema, MalformedRowError),  # 11 labels for 12 rows
+        (np.ones((2, 3), dtype=np.uint8), np.ones(2, dtype=np.int8), two, MalformedRowError),
+        (np.ones((2, 2), dtype=np.uint8), np.ones((2, 1), dtype=np.int8), two, MalformedRowError),
+        (m[:, :4].copy(), y, schema, MalformedRowError),  # narrower than its schema
+        (m[0].copy(), y[:1].copy(), schema, MalformedRowError),  # one row, not a matrix
+    ]
+    for matrix, labels, sch, error in cases:
+        with pytest.raises(error):
+            EncodedDataset(matrix=matrix, labels=labels, schema=sch)
 
 
 def test_csv_round_trip_via_to_csv():

@@ -13,6 +13,7 @@ from grouptree.errors import (
     FractionalSelectionError,
     InfeasibleError,
     InvalidConfigError,
+    MalformedTreeError,
     NumericalFailureError,
     TimeLimitNoIncumbentError,
 )
@@ -175,28 +176,22 @@ def test_fixed_tests_route_like_the_classifier(rng):
 
 
 def test_returned_assignment_is_integral(rng):
+    # the LP engine returns an integral vertex; the structured engine returns
+    # a test per decision node instead of variable values
+    topo = preset("depth2")
     for method in ("auto", "lp"):
         data = random_dataset(rng, 16, [2, 3])
-        model = build_model(data, preset("depth2"))
+        model = build_model(data, topo)
         result = solve_milp(model, method=method)
         assert result.status == OPTIMAL
-        for name, val in result.assignment.items():
-            assert abs(val - round(val)) < 1e-6, (method, name, val)
-
-
-def test_solution_c_matches_replay(rng):
-    data = random_dataset(rng, 20, [3, 2])
-    topo = preset("depth2")
-    model = build_model(data, topo)
-    result = solve_milp(model)
-    tree = extract_tree(result, topo, data.schema)
-    leaves = tree.route_all(data.matrix)
-    for var in model.variables:
-        if not var.name.startswith("C_"):
-            continue
-        _, i_s, b_s = var.name.split("_")
-        want = 1.0 if leaves[int(i_s)] == int(b_s) else 0.0
-        assert result.assignment[var.name] == pytest.approx(want, abs=1e-6)
+        if method == "lp":
+            assert result.tests is None
+            for name, val in result.assignment.items():
+                assert abs(val - round(val)) < 1e-6, (name, val)
+        else:
+            assert result.assignment == {}
+            assert sorted(result.tests) == sorted(topo.decision_nodes)
+            assert all(isinstance(s, frozenset) for _, s in result.tests.values())
 
 
 def test_objective_equals_training_accuracy(rng):
@@ -276,7 +271,7 @@ def test_constrained_solves_match_oracle(rng):
 def test_extract_tree_reads_assignment():
     schema_data = random_dataset(random.Random(0), 8, [3, 2])
     topo = preset("depth2")
-    result = solve_milp(build_model(schema_data, topo))
+    result = solve_milp(build_model(schema_data, topo), method="lp")
     tree = extract_tree(result, topo, schema_data.schema)
     for k in topo.decision_nodes:
         g, subset = tree.tests[k]
@@ -294,6 +289,17 @@ def test_extract_tree_fractional_selection():
     result = SolveResult(OPTIMAL, 0.0, 0.0, assignment)
     with pytest.raises(FractionalSelectionError):
         extract_tree(result, topo, data.schema)
+
+
+def test_extract_tree_checks_structured_tests_against_the_topology(rng):
+    # a structured result holds tests for its own shape's nodes; read with
+    # another shape's, it is refused, not parsed from names that are absent
+    data = random_dataset(rng, 12, [2, 3])
+    for solved, other in (("depth2", "depth3"), ("depth3", "depth2")):
+        result = solve_milp(build_model(data, preset(solved)))
+        assert result.tests is not None
+        with pytest.raises(MalformedTreeError):
+            extract_tree(result, preset(other), data.schema)
 
 
 def test_time_limit_without_incumbent(rng):
@@ -635,7 +641,7 @@ def test_determinism_same_result(rng):
     a = solve_milp(model)
     b = solve_milp(build_model(data, preset("depth2_5")))
     assert a.objective == b.objective
-    assert a.assignment == b.assignment
+    assert a.tests == b.tests
     assert a.nodes_processed == b.nodes_processed
 
 
@@ -1129,7 +1135,7 @@ def test_solves_under_a_tiny_store_match_oracle(monkeypatch, mode):
 
 
 _OBJECTIVES = ({}, {"class_weight": Fraction(3, 2)}, {"min_specificity": Fraction(1, 2)},
-               {"min_sensitivity": Fraction(2, 3)})
+               {"min_sensitivity": Fraction(2, 3)}, {"min_sensitivity": Fraction(1, 2)})
 
 
 def test_engines_agree_on_every_objective_and_forbid_setting():
@@ -1138,7 +1144,9 @@ def test_engines_agree_on_every_objective_and_forbid_setting():
     # tests allowed or forbidden, anchors on or off (anchoring filters the
     # tests that a closure reads); imbalanced holds a depth-2 node two
     # levels down.  Groups of one category leave some forbidding solves
-    # without any test, so some answers are infeasible.
+    # without any test, so some answers are infeasible.  A structured
+    # result carries its tests and no variable values, and the tree read
+    # from them earns exactly the objective it reports.
     rng = random.Random(19)
     statuses = []
     for name in ("depth2", "depth2_5", "depth3", "imbalanced"):
@@ -1165,6 +1173,7 @@ def test_engines_agree_on_every_objective_and_forbid_setting():
                         continue
                     assert result.status == OPTIMAL
                     assert abs(result.objective - float(expected)) < 1e-7, (name, method)
+                    assert (result.assignment == {}) == (method == "auto")
                     tree = extract_tree(result, topo, data.schema)
                     if forbid:
                         _assert_nontrivial(tree)
@@ -1175,6 +1184,8 @@ def test_engines_agree_on_every_objective_and_forbid_setting():
                         "max_specificity": m.true_negative,
                     }[cfg.mode]
                     assert earned == expected
+                    if method == "auto":
+                        assert earned == result.objective
     assert len(statuses) > 200 and statuses.count(INFEASIBLE) >= 5
 
 
