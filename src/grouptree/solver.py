@@ -6,11 +6,11 @@ progress records, incumbent updates and the reported statuses are the same
 code for both.  A ``SolveResult`` carries the status, the objective, the
 best bound and the work counters, and the winner in one of two forms: the
 structured search returns its (group, feature subset) test per decision
-node in ``tests`` and no variable values; the LP engine returns every
-variable's value in ``assignment`` and ``tests`` None.  ``extract_tree``
-reads ``tests`` when they are set and parses the ``V``/``Z`` names only
-when they are not.  An engine supplies only its node work, a bound step
-and a split step:
+node in ``tests``, and the shape it solved in ``shape``, and no variable
+values; the LP engine returns every variable's value in ``assignment`` and
+``tests`` None.  ``extract_tree`` reads ``tests`` when they are set and
+parses the ``V``/``Z`` names only when they are not.  An engine supplies
+only its node work, a bound step and a split step:
 
 * a structured search used for models produced by ``build_model``: it
   branches on the integral feature-selection bits, propagates the one-group
@@ -46,6 +46,7 @@ from .errors import (
     FractionalSelectionError,
     InfeasibleError,
     InvalidConfigError,
+    MalformedTreeError,
     NumericalFailureError,
     TimeLimitNoIncumbentError,
 )
@@ -70,6 +71,9 @@ ENUM_BUDGET_CONSTRAINED = 20000
 # leaf kernel (bounds the float copy of the masks and the knapsack state)
 CHUNK_ROWS = 256
 CHUNK_CELLS = 1 << 16
+# cells in each chunk's largest temporary and in each count product of the
+# depth-2 kernel (``_pair_tables``)
+PAIR_CELLS = 1 << 18
 # the subtree tables kept during one solve: a stored row costs its table's
 # floor + 1 cells and one cell per byte of its packed mask
 _TABLE_STORE_CELLS = 4 * CHUNK_CELLS
@@ -102,6 +106,8 @@ class SolveResult:
     lp_iterations: int = 0
     # node -> (group, features): set by the structured search, None otherwise
     tests: dict[int, tuple[int, frozenset[int]]] | None = None
+    # the topology's shape text: set by the structured search, None otherwise
+    shape: str | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -183,11 +189,15 @@ def extract_tree(
     A structured result's tests are taken as they are; an LP result's are
     parsed from the ``V_k_g`` and ``Z_k_j`` values, each within 1e-6 of 1.
     Either way the tree is checked against ``topology`` and ``schema``: a
-    result read with a topology of other decision nodes raises
-    ``MalformedTreeError``.
+    structured result read with a topology of another shape, or an LP
+    result with one of other decision nodes, raises ``MalformedTreeError``.
     """
     if result.status not in (OPTIMAL, FEASIBLE_TIME_LIMIT):
         raise InfeasibleError(f"the solve found no tree: status {result.status}")
+    if result.shape is not None and result.shape != topology.shape_text():
+        raise MalformedTreeError(
+            f"the result was solved for shape {result.shape}, not {topology.shape_text()}"
+        )
     tests = result.tests
     if tests is None:  # an LP result: per node, the group whose V is highest
         tests, assignment = {}, result.assignment
@@ -425,8 +435,8 @@ class _NodeState:
     ``allowed`` holds ``(group, fixed features, free features)`` per allowed
     group, ``count`` their number of tests.  The first closure that needs
     them fills ``tests`` and each test's 0/1 feature row ``member``, and
-    ``_pair_tables`` each test's ``pair_member`` row; no field has a column
-    per sample.
+    ``_pair_tables`` the pair rows of each test's two children
+    (``pair_member``); no field has a column per sample.
     """
 
     __slots__ = ("allowed", "count", "tests", "member", "pair_member")
@@ -468,8 +478,9 @@ class _StructuredSearch:
     of its tests through its children as one batch and merges their tables
     (``_merge``).  With no floor, a branched node whose two children are
     leaf-adjacent (a depth-2 node) routes no child set: its children's
-    class counts are sums of pair counts, one product per routed set
-    (``_pair_tables``).  Every subtree's tables but the root's
+    gains per slot are sums of pair gains, from products of the routed sets
+    with a per-sample pair table built once per solve (``_pair_tables``).
+    Every subtree's tables but the root's
     are served from one per-solve store of tables (``_stored``), keyed by the
     routed set and, at a branched node, by the box rows that fix its
     subtree's tests, so each distinct table is computed once per solve.  The
@@ -532,8 +543,13 @@ class _StructuredSearch:
             self.slot_used[g, : len(feats)] = True
         slot_cols = self.data.matrix[:, slots.ravel()] * self.slot_used.ravel()
         pos = self.labels[:, None] == 1
-        # float32 class counts are exact below 2**24 samples
+        # float32 class counts are exact below 2**24 samples.  Gains and
+        # their sums are integers no larger than ``top`` (either gain, or
+        # every sample correct): exact in float32 below 2**24, in float64
+        # below 2**53
         count_type = np.float32 if self.n < 1 << 24 else float
+        top = max(n_pos * gain_pos + n_neg * gain_neg, gain_pos, gain_neg)
+        gain_type = np.float32 if top < 1 << 24 else float
         self.columns = np.hstack([slot_cols * ~pos, slot_cols * pos]).astype(count_type)
         # routed [negatives, positives] per slot -> left/right gain, left/right
         # count of the floored class
@@ -544,16 +560,31 @@ class _StructuredSearch:
             1, CHUNK_CELLS // max(self.n, 8 * self.n_groups * (self.floor + 1))
         )
         # with no floor, a branched node whose children are both leaf-adjacent
-        # takes its tables from pair counts (``_pair_tables``): those of each
-        # feature but the groups' anchors, then of the whole mask
-        self.pair_nodes = frozenset() if self.floor else frozenset(
+        # takes its tables from pair gains (``_pair_tables``) while those are
+        # exact; beyond 2**53 it routes its children like any branched node
+        self.pair_nodes = frozenset() if self.floor or top >= 1 << 53 else frozenset(
             k for k in self.decl
             if {c for _, c in self.topo.children[k]} <= self.topo.leaf_adjacent
         )
-        self.pair_features = np.delete(np.arange(self.d), self.anchor)
-        self.pair_samples = np.vstack(
-            [self.feature_samples[self.pair_features], np.ones((1, self.n), np.float32)]
-        ) if self.pair_nodes else None
+        if self.pair_nodes:
+            # the pair rows: each feature but the groups' anchors, then the
+            # whole mask.  Each feature is a sum of pair rows: an anchor is
+            # the whole mask less the rest of its group.
+            rest = np.delete(np.arange(self.d), self.anchor)
+            basis = np.zeros((self.d, len(rest) + 1), dtype=gain_type)
+            basis[rest, np.arange(len(rest))] = 1
+            basis[self.anchor, :-1] -= self.group_of[rest] == np.arange(self.n_groups)[:, None]
+            basis[self.anchor, -1] = 1
+            self.pair_basis = basis
+            # per feature slot, its sum of pair rows; a padding slot has none
+            self.slot_basis = basis[slots.ravel()] * self.slot_used.ravel()[:, None]
+            # per sample, 1 in each of its pair rows; per class, its samples
+            # and their gain
+            self.pair_rows = np.hstack(
+                [self.data.matrix[:, rest], np.ones((self.n, 1), np.uint8)]
+            ).astype(gain_type)
+            self.pair_classes = ((~pos[:, 0], gain_neg), (pos[:, 0], gain_pos))
+            self.pair_table = None  # built by the first call with several masks
         # per branched node below the root, the positions of the branched
         # nodes in its subtree: their box rows fix the subtree's tests
         self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl if k != self.topo.root}
@@ -568,7 +599,9 @@ class _StructuredSearch:
     def run(self) -> SolveResult:
         zlo = np.zeros((self.n_decl, self.d), dtype=np.int8)
         root = (zlo, np.ones_like(zlo), [None] * self.n_decl, range(self.n_decl))
-        return _best_first(self, root, self.all_correct)
+        result = _best_first(self, root, self.all_correct)
+        result.shape = self.topo.shape_text()
+        return result
 
     def bound(self, node, parent_bound):
         """Derive the node's changed rows in place; None if some node allows no test.
@@ -770,7 +803,7 @@ class _StructuredSearch:
         Also returns, per entry, the first test (or group, at a
         leaf-adjacent node) that reaches it.  A leaf-adjacent node runs the
         leaf kernel in ``leaf_rows`` chunks.  A depth-2 node with no floor
-        (``pair_nodes``) computes its children's tables too, from pair counts.
+        (``pair_nodes``) computes its children's tables too, from pair gains.
         Any other branched node sends the child masks of a chunk of its tests
         through each child as one batch; the root keeps only the entry that
         meets the floor.
@@ -808,60 +841,88 @@ class _StructuredSearch:
         return best, winners
 
     def _pair_tables(self, state, masks):
-        """A depth-2 node's tables and winners from pair counts, with no floor.
+        """A depth-2 node's tables and winners from pair gains, with no floor.
 
-        One product per chunk of masks gives, per mask, the class counts of
-        every (pair row, feature slot) pair.  Every sample has exactly one
-        feature per group (``EncodedDataset`` checks it), so a test's left
-        child counts are a sum of pair rows (``_pair_member``) and its right
-        child's are the mask's less those.  Both children get the closed
-        form of ``_leaf_tables``; the node's table is their sum, best over
-        the tests in order.  The counts are integers, so tables and winners
-        are those of routing each child mask, bit for bit.
+        One product per class of the masks with that class's rows of the
+        pair table (``_pair_table``) gives each mask's gains over every pair
+        of pair rows; a single mask takes its own samples' pair rows times
+        themselves instead.  Per chunk, the slot basis turns them into gains
+        per (slot, class, pair row), each anchor slot the whole mask less
+        the rest of its group.  Every sample has exactly one feature per
+        group (``EncodedDataset`` checks it), so a test's left child holds a
+        sum of pair rows and its right child the whole mask less those: one
+        product with ``pair_member`` gives both children's gains per slot.
+        Each child gets the closed form of ``_leaf_tables``; the node's table
+        is their sum, best over the tests in order.  A chunk holds as many
+        masks as its largest temporary, 2 x slots x max(pair rows, 2 x tests)
+        cells per mask, fits in ``PAIR_CELLS``, and a count product as many
+        chunks as its output fits there.  The gains are exact integers
+        (``gain_type``), so tables and winners are those of routing each
+        child mask, bit for bit.
         """
         best = np.full((len(masks), 1), -np.inf)
         winners = np.zeros(best.shape, dtype=np.int64)
-        member = self._pair_member(state)
-        # class counts -> left and right gains, slot axes first
-        sides = (2,) + self.slot_used.shape + (-1,)
-        weights = self.side_weights[0, :, None, None, None]
-        # chunks of masks whose product with the pair rows fits CHUNK_CELLS
-        rows = max(1, CHUNK_CELLS // self.pair_samples.size)
-        for r in range(0, len(masks), rows):
-            at = slice(r, r + rows)
-            chunk = masks[at]
-            routed = (chunk[:, None] * self.pair_samples).reshape(-1, self.n)
-            # (class, slot x mask, pair row)
-            pairs = (self.columns.T @ routed.T).reshape(2, -1, len(self.pair_samples))
-            totals = pairs[..., -1].reshape(2, -1, len(chunk))
-            step = max(1, CHUNK_CELLS // (2 * self.slot_used.size * len(chunk)))
-            for lo in range(0, len(member), step):
-                left = pairs @ member[lo:lo + step].T
-                right = totals[..., None] - left.reshape(totals.shape + (-1,))
-                left_best, right_best = (
-                    self._closed_form(*(counts.reshape(sides) * weights)).max(axis=0)
-                    for counts in (left, right)
-                )
-                merged = (left_best + right_best).reshape(len(chunk), -1)
-                chunk_best = merged.max(axis=1)
-                better = chunk_best > best[at, 0]
-                best[at, 0][better] = chunk_best[better]
-                winners[at, 0][better] = merged.argmax(axis=1)[better] + lo
+        if not state.tests:
+            return best, winners
+        if state.pair_member is None:
+            # per test, the pair rows of its left child, then of its right
+            left = state.member.astype(self.pair_basis.dtype) @ self.pair_basis
+            whole = np.eye(self.pair_basis.shape[1], dtype=left.dtype)[-1]
+            state.pair_member = np.vstack([left, whole - left]).T
+        n_rows, n_slots, n_tests = self.pair_basis.shape[1], len(self.slot_basis), len(state.tests)
+        size = max(1, PAIR_CELLS // (2 * n_slots * max(n_rows, 2 * n_tests)))
+        # a count product reads the whole table, so it serves as many chunks
+        # as its output, n_rows x (n_rows + 1) cells per mask, allows
+        step = size * max(1, PAIR_CELLS // (n_rows * (n_rows + 1) * size))
+        for r in range(0, len(masks), size):
+            chunk = masks[r:r + size]
+            if len(masks) == 1:
+                # one mask: its own samples' pair rows times themselves,
+                # which reads less than the whole table
+                held = [(self.pair_rows[chunk[0] & samples], gain)
+                        for samples, gain in self.pair_classes]
+                pairs = np.stack([(x.T @ x) * gain for x, gain in held], axis=1)
+            else:
+                if r % step == 0:
+                    tables, index = self._pair_table()
+                    gains = np.vstack([
+                        table.T @ masks[r:r + step][:, samples].T.astype(table.dtype)
+                        for table, (samples, _) in zip(tables, self.pair_classes)
+                    ])
+                pairs = gains[:, r % step:r % step + size][index].swapaxes(2, 3)
+            # (pair row, class, mask, pair row) -> (slot, class, mask, pair row)
+            pairs = (self.slot_basis @ pairs.reshape(n_rows, -1)).reshape(-1, n_rows)
+            # (group, slot, class, mask, child, test)
+            children = (pairs @ state.pair_member).reshape(self.slot_used.shape + (2, -1))
+            child_best = self._closed_form(*np.moveaxis(children, 2, 0)).max(axis=0)
+            merged = child_best.reshape(len(chunk), 2, n_tests).sum(axis=1)
+            best[r:r + size, 0] = merged.max(axis=1)
+            winners[r:r + size, 0] = merged.argmax(axis=1)
         return best, winners
 
-    def _pair_member(self, state):
-        """Per test of ``state``, the weights of the pair rows that it sends left.
+    def _pair_table(self):
+        """Per class, its samples' rows of the pair table, and a gather index.
 
-        A test that holds its group's anchor sends left the whole mask less
-        the group's other features; any other test, its own features.
+        A sample's row is its gain times the upper triangle of the outer
+        product of its pair rows, so a mask's product with a class's rows
+        holds that class's gains over each pair of pair rows.  The index
+        takes the two classes' products, stacked, to (pair row, class, pair
+        row).  Built once per solve, when first needed.
         """
-        if state.pair_member is None:
-            groups = np.array([g for g, _ in state.tests], dtype=np.int64)
-            member = state.member[:, self.pair_features]
-            held = state.member[np.arange(len(groups)), np.array(self.anchor)[groups]][:, None]
-            others = self.group_of[self.pair_features] == groups[:, None]
-            state.pair_member = np.hstack([np.where(held == 1, member - others, member), held])
-        return state.pair_member
+        if self.pair_table is None:
+            n_rows = self.pair_rows.shape[1]
+            i, j = np.nonzero(np.tri(n_rows, dtype=bool).T)  # the upper triangle
+            tables = []
+            for samples, gain in self.pair_classes:
+                rows = self.pair_rows[samples]
+                table = rows[:, i]
+                table *= rows[:, j]
+                table *= gain
+                tables.append(table)
+            at = np.empty((n_rows, n_rows), dtype=np.int64)
+            at[i, j] = at[j, i] = np.arange(len(i))
+            self.pair_table = tables, at[:, None] + np.array([0, len(i)])[:, None]
+        return self.pair_table
 
     def _go_left(self, state, at) -> np.ndarray:
         """Per test of ``state.tests[at]``, the samples it sends left.

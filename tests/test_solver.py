@@ -67,18 +67,25 @@ def test_forced_branching_matches_oracle(rng, monkeypatch):
 
 
 def test_lp_branch_and_bound_matches_oracle(rng):
+    # Every row option changes only the rows, so each must leave the LP
+    # engine's optimum at the oracle's: strengthened rows, anchors, relaxed
+    # routing integrality and dropped unused C variables, in accuracy mode
+    # and in both floored modes at floor 1/2.
     topo = preset("depth2")
+    floors = ({}, {"min_specificity": Fraction(1, 2)}, {"min_sensitivity": Fraction(1, 2)})
     for strengthen in (True, False):
         for anchor in (True, False):
             data = random_dataset(rng, 14, [2, 2])
-            expected, _ = enumerate_optimal(data, topo)
-            for relax in (True, False):
-                cfg = BuildConfig(
-                    strengthen=strengthen, anchor=anchor, relax_integrality=relax
-                )
-                result = solve_milp(build_model(data, topo, cfg), method="lp")
-                assert result.status == OPTIMAL
-                assert abs(result.objective - float(expected)) < 1e-7
+            for objective in floors:
+                expected, _ = enumerate_optimal(data, topo, **objective)
+                for relax, drop in itertools.product((True, False), (True, False)):
+                    cfg = BuildConfig(
+                        strengthen=strengthen, anchor=anchor, relax_integrality=relax,
+                        drop_unused_c=drop, **objective,
+                    )
+                    result = solve_milp(build_model(data, topo, cfg), method="lp")
+                    assert result.status == OPTIMAL
+                    assert abs(result.objective - float(expected)) < 1e-7, (objective, cfg)
 
 
 def test_lp_relaxation_value(rng):
@@ -293,13 +300,25 @@ def test_extract_tree_fractional_selection():
 
 def test_extract_tree_checks_structured_tests_against_the_topology(rng):
     # a structured result holds tests for its own shape's nodes; read with
-    # another shape's, it is refused, not parsed from names that are absent
+    # another shape's, it is refused, not parsed from names that are absent.
+    # depth3 and imbalanced have the same decision nodes 1-7, so only the
+    # shape that the result records tells them apart.
     data = random_dataset(rng, 12, [2, 3])
     for solved, other in (("depth2", "depth3"), ("depth3", "depth2")):
         result = solve_milp(build_model(data, preset(solved)))
         assert result.tests is not None
         with pytest.raises(MalformedTreeError):
             extract_tree(result, preset(other), data.schema)
+    data = random_dataset(random.Random(1), 20, [2, 3])
+    result = solve_milp(build_model(data, preset("depth3")))
+    assert result.objective == 13.0
+    assert set(preset("depth3").decision_nodes) == set(preset("imbalanced").decision_nodes)
+    assert result.shape == preset("depth3").shape_text() == parse_shape(result.shape).shape_text()
+    with pytest.raises(MalformedTreeError):
+        extract_tree(result, preset("imbalanced"), data.schema)
+    tree = extract_tree(result, parse_shape(result.shape), data.schema)
+    m = evaluate(tree, data)
+    assert m.true_positive + m.true_negative == 13
 
 
 def test_time_limit_without_incumbent(rng):
@@ -955,22 +974,31 @@ def test_closed_form_leaf_tables_match_the_knapsack(forbid):
 @pytest.mark.parametrize("forbid", [False, True], ids=["any-test", "forbid-trivial"])
 def test_pair_tables_match_routed_tables(monkeypatch, store_cells, forbid):
     # A depth-2 node in accuracy mode (the depth2 root, node 3 of
-    # imbalanced) takes its tables from pair counts, without routing a child
+    # imbalanced) takes its tables from pair gains, without routing a child
     # mask or reading the store.  Its tables, their signs and its winners
     # are those of routing each test's child masks through the leaf kernel
     # and merging, bit for bit: weights 1, 3/2, 2/5 and 7, anchored and
     # unanchored tests, a group of one feature (-inf tables when trivial
     # tests are forbidden; with two such groups there is no test at all),
     # empty and full masks, and node 3's rows served from a tiny store.
+    # Also at clinic width (9 groups of 6 features), with a weight of 2**22
+    # whose gains pass 2**24 and so run in float64, and with cell budgets
+    # that cut the batch into several chunks and count products, and one
+    # mask at a time.  Past 2**53 a depth-2 node routes its children instead.
     if store_cells is not None:
         monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
     rng = random.Random(23)
     gen = np.random.default_rng(23)
     checked = 0
-    for t in range(9):
-        weight = (1, Fraction(3, 2), Fraction(2, 5), 7)[t % 4]
-        sizes = [1, 1] if t == 8 else [rng.randint(2, 4), 1, rng.randint(2, 5)]
-        n = rng.randrange(6, 30)
+    for t in range(11):
+        weight = (1, Fraction(3, 2), Fraction(2, 5), 7)[t % 4] if t < 10 else 2**22
+        if t == 8:
+            sizes = [1, 1]
+        elif t == 9:
+            sizes = [6] * 9  # clinic width
+        else:
+            sizes = [rng.randint(2, 4), 1, rng.randint(2, 5)]
+        n = rng.randrange(6, 30) if t < 9 else 40
         data = random_dataset(rng, n, sizes)
         masks = np.vstack([np.zeros((1, n), bool), np.ones((1, n), bool),
                            gen.random((12, n)) < gen.random((12, 1))])
@@ -979,6 +1007,7 @@ def test_pair_tables_match_routed_tables(monkeypatch, store_cells, forbid):
             search = solver_mod._StructuredSearch(build_model(data, preset(shape), cfg),
                                                   SolveConfig())
             assert search.pair_nodes == {k}
+            assert search.pair_basis.dtype == (np.float64 if weight == 2**22 else np.float32)
             zlo = np.zeros((search.n_decl, search.d), dtype=np.int8)
             states = [search._tested(state) for state in _derived(search, zlo, np.ones_like(zlo))]
             closure = states, search._signatures(zlo, np.ones_like(zlo))
@@ -987,6 +1016,17 @@ def test_pair_tables_match_routed_tables(monkeypatch, store_cells, forbid):
                 for name in ("_go_left", "_stored"):
                     m.setattr(search, name, None)
                 best, winners = search._computed(k, masks, closure)
+                rows = search.pair_basis.shape[1]
+                width = max(rows, 2 * len(state.tests))
+                # chunks of 5 masks; count products of 2 masks; 1 mask each
+                for cells in (5 * 2 * len(search.slot_basis) * width, 2 * rows * (rows + 1), 1):
+                    m.setattr(solver_mod, "PAIR_CELLS", cells)
+                    chunked = search._computed(k, masks, closure)
+                    assert all(np.array_equal(a, b) for a, b in zip(chunked, (best, winners)))
+                # one mask at a time, as the recovery asks
+                alone = [search._computed(k, mask[None], closure) for mask in masks]
+                assert np.array_equal(np.vstack([a for a, _ in alone]), best)
+                assert np.array_equal(np.vstack([b for _, b in alone]), winners)
             if not state.tests:
                 assert forbid and sizes == [1, 1]
                 assert (best == -np.inf).all() and not winners.any()
@@ -1001,7 +1041,9 @@ def test_pair_tables_match_routed_tables(monkeypatch, store_cells, forbid):
             if k != search.topo.root:
                 assert np.array_equal(search._stored(k, masks, closure), best)
             checked += 1
-    assert checked == (16 if forbid else 18)
+    assert checked == (20 if forbid else 22)
+    model = build_model(data, preset("depth2"), BuildConfig(class_weight=2**53))
+    assert not solver_mod._StructuredSearch(model, SolveConfig()).pair_nodes
 
 
 def _sends_left(data, tests):
