@@ -71,11 +71,12 @@ def protocol_split(n_samples: int, seed: int, rng: SplitMix64 | None = None):
 def _fit(train: EncodedDataset, topology, config, solve_config):
     """Build the integer program, solve it, read the tree back.
 
-    The structured search reads the model's variables, objective and build
-    structure, never its rows, so training does not lower them.  Every
-    protocol trains through here.  ``build_model``, ``solve_milp`` and
-    ``extract_tree`` are module globals looked up at call time, so callers
-    can wrap them in this module.
+    The structured search reads only the model's build structure, so
+    training builds none of its variables, objective or rows
+    (``build_model`` makes them on first read).  Every protocol trains
+    through here.  ``build_model``, ``solve_milp`` and ``extract_tree`` are
+    module globals looked up at call time, so callers can wrap them in this
+    module.
     """
     model = build_model(train, topology, config)
     result = solve_milp(model, solve_config)

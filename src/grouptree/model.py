@@ -1,10 +1,11 @@
 """Neutral integer-program representation of the tree-training problem.
 
 ``build_model`` lowers (dataset, topology, config) to named variables, linear
-rows, and an objective.  The rows are built the first time they are read:
-export and the LP engine read them, the structured search does not.  The
-representation is solver- and format-agnostic; ``grouptree.mps`` serializes
-it and ``grouptree.solver`` optimizes it.
+rows, and an objective.  All three are built the first time one of them is
+read: export and the LP engine read them, training with the structured
+search reads none of them.  The representation is solver- and
+format-agnostic; ``grouptree.mps`` serializes it and ``grouptree.solver``
+optimizes it.
 
 Naming scheme (all deterministic):
   variables  V_<node>_<group>, Z_<node>_<feature>, C_<sample>_<leaf>
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil
 
 import numpy as np
@@ -145,34 +147,36 @@ class Constraint:
     rhs: float
 
 
-class _Rows(Sequence):
-    """A built model's rows, made by ``lower()`` the first time they are read.
+class _Part(Sequence):
+    """One part of a built model, made the first time it is read.
 
-    Reads (``len``, iteration, indexing, ``==``) see the list that ``lower``
-    returns; it is made once and kept, and ``lower`` is then let go.
+    ``build`` makes every part at once and is memoised, so the first read of
+    any part builds them all; this part is ``build()[part]``.  Reads
+    (``len``, iteration, indexing, ``==``) see that list or tuple; it is
+    kept, and ``build`` is then let go.
     """
 
-    __slots__ = ("_lower", "_rows")
+    __slots__ = ("_build", "_part", "_value")
 
-    def __init__(self, lower: Callable[[], list[Constraint]]):
-        self._lower, self._rows = lower, None
+    def __init__(self, build: Callable[[], tuple], part: int):
+        self._build, self._part, self._value = build, part, None
 
-    def _built(self) -> list[Constraint]:
-        if self._rows is None:
-            self._rows, self._lower = self._lower(), None
-        return self._rows
+    def _built(self):
+        if self._build is not None:
+            self._value, self._build = self._build()[self._part], None
+        return self._value
 
     def __len__(self) -> int:
         return len(self._built())
 
-    def __iter__(self) -> Iterator[Constraint]:
+    def __iter__(self) -> Iterator:
         return iter(self._built())
 
     def __getitem__(self, at):
         return self._built()[at]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _Rows):
+        if isinstance(other, _Part):
             other = other._built()
         return self._built() == other
 
@@ -180,8 +184,10 @@ class _Rows(Sequence):
         return repr(self._built())
 
     def __reduce__(self):
-        # ``lower`` is a local function: pickle and copy the rows as a list
-        return list, (self._built(),)
+        # ``build`` is a local function: pickle and copy the part as the list
+        # or tuple it is
+        value = self._built()
+        return type(value), (value,)
 
 
 @dataclass(frozen=True)
@@ -197,9 +203,9 @@ class ModelStructure:
 class MilpModel:
     name: str
     sense: str  # "max" or "min"
-    variables: list[Variable]
+    variables: Sequence[Variable]
     constraints: Sequence[Constraint]
-    objective: tuple[tuple[str, float], ...]
+    objective: Sequence[tuple[str, float]]
     structure: ModelStructure | None = None
 
     def variable_index(self) -> dict[str, int]:
@@ -237,75 +243,76 @@ def build_model(
     to a leaf of their own class, and the ``SPEC`` row floors one class, as
     ``config.objective`` defines them.
 
-    Validation, the variables and the objective are done here, so a
-    ``class_weight`` whose weighted sums overflow a float is rejected at the
-    call with ``InvalidConfigError``; the rows are
-    built the first time they are read (``_Rows``), from values computed
-    here, so a caller that never reads them, such as the structured search,
-    never builds them.  Names and ``(name, coefficient)`` pairs are built
-    once per model and shared by every row that uses them; rows only
-    assemble tuples of them.
+    Only validation is done at the call (``EmptyClassError``, and
+    ``InvalidConfigError`` for a ``class_weight`` whose weighted sums
+    overflow a float), with a snapshot of the labels and active features.
+    The variables, objective and rows are built together the first time any
+    of them is read (``_Part``), from that snapshot, so a caller that reads
+    none of them, such as training with the structured search, builds none.
+    Names and ``(name, coefficient)`` pairs are built once per model and
+    shared by every row that uses them; rows only assemble tuples of them.
     """
     config = config or BuildConfig()
-    schema = data.schema
     n, d = data.n_samples, data.n_features
     n_pos = int((data.labels == 1).sum())
     n_neg = n - n_pos
     if config.mode != "accuracy" and (n_pos == 0 or n_neg == 0):
         raise EmptyClassError(f"mode {config.mode} needs both classes present")
-
-    nodes = topology.decision_nodes
-    groups = range(schema.n_groups)
-    labels = data.labels.tolist()
-    v_names = {k: [f"V_{k}_{g}" for g in groups] for k in nodes}
-    z_names = {k: [f"Z_{k}_{j}" for j in range(d)] for k in nodes}
-    # the leaves each sample keeps a routing variable for, with its pairs
-    pos_leaves, neg_leaves = topology.positive_leaves, topology.negative_leaves
-    if config.drop_unused_c:
-        sample_leaves = [pos_leaves if y == 1 else neg_leaves for y in labels]
-    else:
-        sample_leaves = [tuple(topology.leaves)] * n
-    c_plus = [
-        {b: (f"C_{i}_{b}", 1.0) for b in leaves}
-        for i, leaves in enumerate(sample_leaves)
-    ]
-    # each sample's active features, in feature order
-    rows, cols = np.nonzero(data.matrix == 1)
-    cols = cols.tolist()
-    ends = np.bincount(rows, minlength=n).cumsum().tolist()
-    active = [cols[a:b] for a, b in zip([0] + ends, ends)]
-    group_of = [schema.group_of(j) for j in range(d)]
-    anchors = [schema.anchor_feature(g) for g in groups]
-    group_feats = [schema.features_of(g) for g in groups]
-
-    # With the accuracy objective, integrality can be dropped everywhere
-    # except the feature bits above the leaf-adjacent level.  The floored
-    # modes lose that property (a fractional leaf-level test can beat every
-    # integral one while meeting the floor), so there all z stay integral.
-    integral = not config.relax_integrality
-    relax_leaf_z = config.relax_integrality and config.mode == "accuracy"
-    variables = [Variable(name, 0.0, 1.0, integral) for k in nodes for name in v_names[k]]
-    for k in nodes:
-        is_int = integral or k not in topology.leaf_adjacent or not relax_leaf_z
-        variables += [Variable(name, 0.0, 1.0, is_int) for name in z_names[k]]
-    variables += [
-        Variable(name, 0.0, 1.0, integral)
-        for pairs in c_plus
-        for name, _ in pairs.values()
-    ]
-
-    # the routing variables that count a sample correct, per label
-    correct = {
-        label: tuple(
-            c_plus[i][b][0] for i, y in enumerate(labels) if y == label for b in leaves
-        )
-        for label, leaves in ((1, pos_leaves), (-1, neg_leaves))
-    }
     gain_pos, gain_neg, scale, floored, floor = config.objective(n_pos, n_neg)
-    terms = (correct[1], gain_pos / scale), (correct[-1], gain_neg / scale)
-    objective = tuple((name, coef) for names, coef in terms if coef for name in names)
+    # all that the parts read of the data, as it is at the call
+    schema, labels = data.schema, data.labels.tolist()
+    rows, cols = np.nonzero(data.matrix == 1)
 
-    def lower() -> list[Constraint]:
+    @cache
+    def build() -> tuple[list[Variable], tuple[tuple[str, float], ...], list[Constraint]]:
+        nodes = topology.decision_nodes
+        groups = range(schema.n_groups)
+        v_names = {k: [f"V_{k}_{g}" for g in groups] for k in nodes}
+        z_names = {k: [f"Z_{k}_{j}" for j in range(d)] for k in nodes}
+        # the leaves each sample keeps a routing variable for, with its pairs
+        pos_leaves, neg_leaves = topology.positive_leaves, topology.negative_leaves
+        if config.drop_unused_c:
+            sample_leaves = [pos_leaves if y == 1 else neg_leaves for y in labels]
+        else:
+            sample_leaves = [tuple(topology.leaves)] * n
+        c_plus = [
+            {b: (f"C_{i}_{b}", 1.0) for b in leaves}
+            for i, leaves in enumerate(sample_leaves)
+        ]
+        # each sample's active features, in feature order
+        flat = cols.tolist()
+        ends = np.bincount(rows, minlength=n).cumsum().tolist()
+        active = [flat[a:b] for a, b in zip([0] + ends, ends)]
+        group_of = [schema.group_of(j) for j in range(d)]
+        anchors = [schema.anchor_feature(g) for g in groups]
+        group_feats = [schema.features_of(g) for g in groups]
+
+        # With the accuracy objective, integrality can be dropped everywhere
+        # except the feature bits above the leaf-adjacent level.  The floored
+        # modes lose that property (a fractional leaf-level test can beat every
+        # integral one while meeting the floor), so there all z stay integral.
+        integral = not config.relax_integrality
+        relax_leaf_z = config.relax_integrality and config.mode == "accuracy"
+        variables = [Variable(name, 0.0, 1.0, integral) for k in nodes for name in v_names[k]]
+        for k in nodes:
+            is_int = integral or k not in topology.leaf_adjacent or not relax_leaf_z
+            variables += [Variable(name, 0.0, 1.0, is_int) for name in z_names[k]]
+        variables += [
+            Variable(name, 0.0, 1.0, integral)
+            for pairs in c_plus
+            for name, _ in pairs.values()
+        ]
+
+        # the routing variables that count a sample correct, per label
+        correct = {
+            label: tuple(
+                c_plus[i][b][0] for i, y in enumerate(labels) if y == label for b in leaves
+            )
+            for label, leaves in ((1, pos_leaves), (-1, neg_leaves))
+        }
+        terms = (correct[1], gain_pos / scale), (correct[-1], gain_neg / scale)
+        objective = tuple((name, coef) for names, coef in terms if coef for name in names)
+
         v_minus = {k: [(name, -1.0) for name in v_names[k]] for k in nodes}
         z_plus = {k: [(name, 1.0) for name in z_names[k]] for k in nodes}
         z_minus = {k: [(name, -1.0) for name in z_names[k]] for k in nodes}
@@ -390,14 +397,14 @@ def build_model(
         if floored:
             spec = tuple((name, 1.0) for name in correct[floored])
             constraints.append(Constraint("SPEC", spec, ">=", float(floor)))
-        return constraints
+        return variables, objective, constraints
 
     return MilpModel(
         name=f"GT_{topology.name}_N{n}_d{d}",
         sense="max",
-        variables=variables,
-        constraints=_Rows(lower),
-        objective=objective,
+        variables=_Part(build, 0),
+        constraints=_Part(build, 2),
+        objective=_Part(build, 1),
         structure=ModelStructure(data=data, topology=topology, config=config),
     )
 

@@ -87,9 +87,12 @@ class SolveConfig:
     callback: object = None  # callable(dict) per processed node
 
     def __post_init__(self):
-        # not ``< 0``: a NaN limit compares false with every elapsed time
+        # not ``< 0``: a NaN limit compares false with every elapsed time;
+        # ``bool`` is an ``int``, but True is no limit of one
         seconds, nodes = self.time_limit, self.node_limit
-        if not (seconds >= 0 and (nodes is None or isinstance(nodes, int) and nodes >= 0)):
+        if isinstance(seconds, bool) or isinstance(nodes, bool) or not (
+            seconds >= 0 and (nodes is None or isinstance(nodes, int) and nodes >= 0)
+        ):
             raise InvalidConfigError(
                 f"time_limit must be >= 0 and node_limit None or an integer >= 0, "
                 f"got {seconds!r} and {nodes!r}"
@@ -244,12 +247,13 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
     * ``engine.answer(solution)`` of the winner: ``(assignment, tests)``,
       the values of the model's variables or the tests of the tree, as the
       result carries them; ``engine.sign`` to turn the maximised value back
-      to the model's sense, and ``engine.iterations`` for the pivots spent.
+      to the model's sense, ``engine.integral`` when every objective value is
+      an integer, and ``engine.iterations`` for the pivots spent.
     """
     config = engine.config
     # a bound within the gap of the incumbent cannot beat it: by less than
     # one unit when every objective value is an integer
-    gap = 0.999 if engine.model.objective_is_integral() else 1e-6
+    gap = 0.999 if engine.integral else 1e-6
     start = time.perf_counter()
     best, best_at = -np.inf, None  # incumbent value and its solution
     nodes = counter = 0
@@ -346,6 +350,7 @@ class _LpBranchAndBound:
             [j for j, v in enumerate(model.variables) if v.is_integer], dtype=np.int64
         )
         self.sign = -1.0 if model.sense == "min" else 1.0
+        self.integral = model.objective_is_integral()
         self.iterations = 0  # pivots spent so far
         self._hot = None
 
@@ -496,7 +501,6 @@ class _StructuredSearch:
 
     def __init__(self, model: MilpModel, config: SolveConfig):
         st = model.structure
-        self.model = model
         self.config = config
         self.data = st.data
         self.topo = st.topology
@@ -526,6 +530,11 @@ class _StructuredSearch:
         n_neg = int((self.labels == -1).sum())
         n_pos = self.n - n_neg
         gain_pos, gain_neg, self.scale, floored, self.floor = self.bcfg.objective(n_pos, n_neg)
+        # ``MilpModel.objective_is_integral`` of the built model, whose
+        # objective holds a class's coefficient when it has samples and the
+        # coefficient is not 0
+        coefs = (n_pos, gain_pos / self.scale), (n_neg, gain_neg / self.scale)
+        self.integral = all(float(c).is_integer() for count, c in coefs if count and c)
         self.enum_budget = ENUM_BUDGET_CONSTRAINED if floored else ENUM_BUDGET
         # the root's bound and every node's cap: exactly what a closure
         # scores for a tree that gets every sample right
@@ -885,10 +894,12 @@ class _StructuredSearch:
             else:
                 if r % step == 0:
                     tables, index = self._pair_table()
-                    gains = np.vstack([
-                        table.T @ masks[r:r + step][:, samples].T.astype(table.dtype)
-                        for table, (samples, _) in zip(tables, self.pair_classes)
-                    ])
+                    batch = masks[r:r + step]
+                    # the classes' products, written in place one after another
+                    gains = np.empty((len(tables), tables[0].shape[1], len(batch)), tables[0].dtype)
+                    for out, table, (samples, _) in zip(gains, tables, self.pair_classes):
+                        np.matmul(table.T, batch[:, samples].T.astype(out.dtype), out=out)
+                    gains = gains.reshape(-1, len(batch))
                 pairs = gains[:, r % step:r % step + size][index].swapaxes(2, 3)
             # (pair row, class, mask, pair row) -> (slot, class, mask, pair row)
             pairs = (self.slot_basis @ pairs.reshape(n_rows, -1)).reshape(-1, n_rows)

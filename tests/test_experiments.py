@@ -13,7 +13,7 @@ from grouptree.experiments import (
     sensitivity_sweep,
     train_test_run,
 )
-from grouptree.model import BuildConfig, Constraint, build_model
+from grouptree.model import BuildConfig, build_model
 from grouptree.oracle import enumerate_optimal
 from grouptree.rng import SplitMix64
 from grouptree.solver import INFEASIBLE, solve_milp
@@ -176,22 +176,36 @@ def test_monks3_small_run_reaches_perfection():
 
 
 def test_training_lowers_no_rows(monkeypatch):
-    # The structured search reads a model's variables, objective and build
-    # structure; no protocol makes a single row.
+    # The structured search reads a model's build structure only; no
+    # protocol makes a single variable, objective term or row.
+    import grouptree.experiments as experiments_mod
     import grouptree.model as model_mod
 
-    made = []
+    made = {"Variable": [], "Constraint": []}
+    for kind, names in made.items():
+        def counted(*args, _names=names, _make=getattr(model_mod, kind), **kwargs):
+            _names.append(args[0])
+            return _make(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        made.append(args[0])
-        return Constraint(*args, **kwargs)
+        monkeypatch.setattr(model_mod, kind, counted)
+    models = []
 
-    monkeypatch.setattr(model_mod, "Constraint", counted)
+    def recorded(*args, **kwargs):
+        models.append(build_model(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(experiments_mod, "build_model", recorded)
     data = random_dataset(random.Random(16), 30, [2, 3, 2])
     assert set(data.labels.tolist()) == {-1, 1}
     train_test_run(data, preset("depth2"), seed=1)
     cross_validate_topology(data, [preset("depth2"), preset("depth2_5")], seed=1)
     sensitivity_sweep(data, preset("depth2"), [Fraction(1, 2), Fraction(1)], seed=1)
-    assert made == []
-    # the count does see the rows of a model that something reads
-    assert len(build_model(data, preset("depth2")).constraints) == len(made) > 0
+    assert made == {"Variable": [], "Constraint": []} and len(models) == 1 + 9 + 2
+    # nor an objective: every part of every model is still unbuilt
+    parts = [getattr(m, name) for m in models for name in ("variables", "objective", "constraints")]
+    assert all(part._build is not None for part in parts)
+    # the counts do see the parts of a model that something reads
+    model = build_model(data, preset("depth2"))
+    assert len(model.objective) > 0
+    assert len(model.variables) == len(made["Variable"]) > 0
+    assert len(model.constraints) == len(made["Constraint"]) > 0

@@ -307,12 +307,57 @@ def test_rows_built_on_first_read_behave_like_a_list(cfg):
 
 def test_rows_are_those_of_the_data_at_the_call():
     data = monks_data(n=20)
-    plain = list(build_model(data, preset("depth2"), BuildConfig()).constraints)
+    plain = build_model(data, preset("depth2"), BuildConfig())
     copy = data.subset(range(data.n_samples))
     model = build_model(copy, preset("depth2"), BuildConfig())
-    copy.matrix.setflags(write=True)
-    copy.matrix[:] = 0  # the rows never read the data again
-    assert model.constraints == plain
+    for array in (copy.matrix, copy.labels):
+        array.setflags(write=True)
+    copy.matrix[:] = 0  # no part reads the data again
+    copy.labels[:] = -copy.labels
+    assert model.constraints == list(plain.constraints)
+    assert model.variables == list(plain.variables)
+    assert model.objective == tuple(plain.objective)
+
+
+@pytest.mark.parametrize("first", ["variables", "objective", "constraints"])
+def test_the_first_read_of_any_part_builds_all_three_once(monkeypatch, first):
+    import grouptree.model as model_mod
+
+    data = monks_data(n=30)
+    plain = build_model(data, preset("depth2_5"), BuildConfig())
+    sizes = {"Variable": len(plain.variables), "Constraint": len(plain.constraints)}
+    made = {"Variable": 0, "Constraint": 0}
+    for kind in made:
+        def counted(*args, _kind=kind, _make=getattr(model_mod, kind), **kwargs):
+            made[_kind] += 1
+            return _make(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, kind, counted)
+    model = build_model(data, preset("depth2_5"), BuildConfig())
+    assert made == {"Variable": 0, "Constraint": 0}
+    getattr(model, first)[0]
+    assert made == sizes and sizes["Constraint"] > 0
+    # the other parts were built by that read; a second read of any part
+    # returns the same objects
+    parts = {name: getattr(model, name) for name in ("variables", "objective", "constraints")}
+    assert parts["objective"] == plain.objective and len(parts["objective"]) > 0
+    for name, part in parts.items():
+        assert all(a is b for a, b in zip(part, getattr(model, name))), name
+    assert made == sizes
+
+
+def test_copied_parts_keep_their_types():
+    cfg = BuildConfig()
+    data = monks_data(n=20)
+    plain = build_model(data, preset("depth2"), cfg)
+    types = {"variables": list, "objective": tuple, "constraints": list}
+    for copied in (
+        pickle.loads(pickle.dumps(build_model(data, preset("depth2"), cfg))),
+        copy.deepcopy(build_model(data, preset("depth2"), cfg)),
+    ):
+        for name, kind in types.items():
+            assert type(getattr(copied, name)) is kind
+            assert getattr(copied, name) == kind(getattr(plain, name))
 
 
 def test_reassigned_rows_are_used():

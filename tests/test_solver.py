@@ -335,12 +335,14 @@ def test_time_limit_without_incumbent(rng):
 @pytest.mark.parametrize(
     "limits",
     [{"time_limit": float("nan")}, {"time_limit": -1.0}, {"node_limit": -1},
-     {"node_limit": 2.5}, {"node_limit": float("nan")}],
-    ids=["time-nan", "time-negative", "nodes-negative", "nodes-fraction", "nodes-nan"],
+     {"node_limit": 2.5}, {"node_limit": float("nan")}, {"time_limit": True},
+     {"node_limit": True}],
+    ids=["time-nan", "time-negative", "nodes-negative", "nodes-fraction", "nodes-nan",
+         "time-bool", "nodes-bool"],
 )
 def test_invalid_limits_are_rejected(limits):
     # a NaN time limit compares false with every elapsed time, so it would
-    # run without a limit
+    # run without a limit; True is an int, but it is not a limit of one
     with pytest.raises(InvalidConfigError):
         SolveConfig(**limits)
 
@@ -682,6 +684,30 @@ def test_weighted_objective_matches_oracle(rng):
                 m = evaluate(tree, data)
                 earned = m.true_positive + weight * m.true_negative
                 assert abs(result.objective - float(earned)) < 1e-7
+
+
+def test_structured_integrality_is_the_models(rng):
+    # The structured search takes its gap from the mode, not from the model's
+    # objective: the two must agree, also where one class has no samples and
+    # so no objective terms (its coefficient alone would say otherwise).
+    weights = [Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7)]
+    configs = [BuildConfig(class_weight=w) for w in weights] + [
+        BuildConfig(min_specificity=Fraction(1, 2)),
+        BuildConfig(min_sensitivity=Fraction(1, 2)),
+    ]
+    both = random_dataset(rng, 16, [3, 2])
+    assert set(both.labels.tolist()) == {-1, 1}
+    one_class = [replace(both, labels=np.full(16, y, dtype=np.int8)) for y in (-1, 1)]
+    seen = set()
+    for name in PRESET_SHAPES:
+        cases = [(both, cfg) for cfg in configs]
+        cases += [(data, BuildConfig(class_weight=w)) for data in one_class for w in weights]
+        for data, cfg in cases:
+            model = build_model(data, preset(name), cfg)
+            integral = solver_mod._StructuredSearch(model, SolveConfig()).integral
+            assert integral == model.objective_is_integral(), (name, cfg)
+            seen.add(integral)
+    assert seen == {False, True}
 
 
 def test_progress_log_line_format(rng, caplog):
