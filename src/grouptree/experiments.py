@@ -174,13 +174,11 @@ def sensitivity_sweep(
     base = config or BuildConfig()
     solve_config = solve_config or SolveConfig()
     train_idx, test_idx = protocol_split(data.n_samples, seed)
-    train = data.subset(train_idx)
-    test = data.subset(test_idx)
     rows = []
     for beta in map(Fraction, floors):
         cfg = replace(base, min_specificity=beta, min_sensitivity=None)
-        tree, result = _fit(train, topology, cfg, solve_config)
-        train_m, test_m = evaluate(tree, train), evaluate(tree, test)
+        run = _train_test(data, train_idx, test_idx, topology, cfg, solve_config, seed)
+        train_m, test_m = run.train_metrics, run.test_metrics
         rows.append(
             SweepRow(
                 floor=beta,
@@ -188,8 +186,8 @@ def sensitivity_sweep(
                 train_specificity=train_m.specificity,
                 test_sensitivity=test_m.sensitivity,
                 test_specificity=test_m.specificity,
-                status=result.status,
-                objective=result.objective,
+                status=run.solve.status,
+                objective=run.solve.objective,
             )
         )
     return rows

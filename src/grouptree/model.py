@@ -1,7 +1,8 @@
 """Neutral integer-program representation of the tree-training problem.
 
 ``build_model`` lowers (dataset, topology, config) to named variables, linear
-rows, and an objective.  All three are built the first time one of them is
+rows, and an objective: plain lists and a tuple, as ``grouptree.mps``
+parses them.  A built model makes all three the first time one of them is
 read: export and the LP engine read them, training with the structured
 search reads none of them.  The representation is solver- and
 format-agnostic; ``grouptree.mps`` serializes it and ``grouptree.solver``
@@ -20,10 +21,8 @@ are 0-based (schema/dataset ids).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import ceil
 
 import numpy as np
@@ -147,49 +146,6 @@ class Constraint:
     rhs: float
 
 
-class _Part(Sequence):
-    """One part of a built model, made the first time it is read.
-
-    ``build`` makes every part at once and is memoised, so the first read of
-    any part builds them all; this part is ``build()[part]``.  Reads
-    (``len``, iteration, indexing, ``==``) see that list or tuple; it is
-    kept, and ``build`` is then let go.
-    """
-
-    __slots__ = ("_build", "_part", "_value")
-
-    def __init__(self, build: Callable[[], tuple], part: int):
-        self._build, self._part, self._value = build, part, None
-
-    def _built(self):
-        if self._build is not None:
-            self._value, self._build = self._build()[self._part], None
-        return self._value
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __iter__(self) -> Iterator:
-        return iter(self._built())
-
-    def __getitem__(self, at):
-        return self._built()[at]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Part):
-            other = other._built()
-        return self._built() == other
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-    def __reduce__(self):
-        # ``build`` is a local function: pickle and copy the part as the list
-        # or tuple it is
-        value = self._built()
-        return type(value), (value,)
-
-
 @dataclass(frozen=True)
 class ModelStructure:
     """Link back to the problem a model was built from (not serialized)."""
@@ -199,14 +155,38 @@ class ModelStructure:
     config: BuildConfig
 
 
+# a model's parts, in the order that ``build_model``'s builder returns them
+_PARTS = ("variables", "objective", "constraints")
+
+
 @dataclass
 class MilpModel:
+    """A mixed-integer program.  ``build_model`` leaves ``variables``,
+    ``objective`` and ``constraints`` unset and keeps its builder: the first
+    read of any of them sets all three as plain attributes (``__getattr__``).
+    """
+
     name: str
     sense: str  # "max" or "min"
-    variables: Sequence[Variable]
-    constraints: Sequence[Constraint]
-    objective: Sequence[tuple[str, float]]
+    variables: list[Variable]
+    constraints: list[Constraint]
+    objective: tuple[tuple[str, float], ...]
     structure: ModelStructure | None = None
+
+    def __getattr__(self, name: str):
+        # runs only for an attribute that is not set
+        build = self.__dict__.pop("_build", None) if name in _PARTS else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        for part, value in zip(_PARTS, build()):
+            self.__dict__.setdefault(part, value)  # a part set before this read stays
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        # the builder is a local function: a pickle or a copy holds the parts
+        if "_build" in self.__dict__:
+            self.__getattr__("variables")  # sets all three
+        return self.__dict__
 
     def variable_index(self) -> dict[str, int]:
         return {v.name: idx for idx, v in enumerate(self.variables)}
@@ -246,8 +226,9 @@ def build_model(
     Only validation is done at the call (``EmptyClassError``, and
     ``InvalidConfigError`` for a ``class_weight`` whose weighted sums
     overflow a float), with a snapshot of the labels and active features.
-    The variables, objective and rows are built together the first time any
-    of them is read (``_Part``), from that snapshot, so a caller that reads
+    The model keeps a builder in place of its parts: the variables,
+    objective and rows are built together from that snapshot the first time
+    any of them is read (``MilpModel.__getattr__``), so a caller that reads
     none of them, such as training with the structured search, builds none.
     Names and ``(name, coefficient)`` pairs are built once per model and
     shared by every row that uses them; rows only assemble tuples of them.
@@ -263,7 +244,6 @@ def build_model(
     schema, labels = data.schema, data.labels.tolist()
     rows, cols = np.nonzero(data.matrix == 1)
 
-    @cache
     def build() -> tuple[list[Variable], tuple[tuple[str, float], ...], list[Constraint]]:
         nodes = topology.decision_nodes
         groups = range(schema.n_groups)
@@ -399,14 +379,14 @@ def build_model(
             constraints.append(Constraint("SPEC", spec, ">=", float(floor)))
         return variables, objective, constraints
 
-    return MilpModel(
+    model = object.__new__(MilpModel)  # its parts stay unset until read
+    model.__dict__.update(
         name=f"GT_{topology.name}_N{n}_d{d}",
         sense="max",
-        variables=_Part(build, 0),
-        constraints=_Part(build, 2),
-        objective=_Part(build, 1),
         structure=ModelStructure(data=data, topology=topology, config=config),
+        _build=build,
     )
+    return model
 
 
 def model_stats(model: MilpModel) -> dict:

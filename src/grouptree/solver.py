@@ -233,6 +233,10 @@ def extract_tree(
 # ---------------------------------------------------------------------------
 
 
+class _OutOfTime(Exception):
+    """The time limit passed during a node's ``split``, which is abandoned."""
+
+
 def _best_first(engine, root, root_bound: float) -> SolveResult:
     """Best-bound branch and bound over the nodes of ``engine``.
 
@@ -243,7 +247,9 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
       relaxation and ends the search;
     * ``engine.split(node, work)`` on a node that survived the gap prune:
       ``(value, solution, children)``, a candidate incumbent (``value`` -inf
-      for none) and the children to push, in order;
+      for none) and the children to push, in order.  It may raise
+      ``_OutOfTime``: the node then goes back to the heap unsplit, so the
+      bound stays valid, and the search stops at the time limit;
     * ``engine.answer(solution)`` of the winner: ``(assignment, tests)``,
       the values of the model's variables or the tests of the tree, as the
       result carries them; ``engine.sign`` to turn the maximised value back
@@ -286,7 +292,12 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
         if incumbent is not None and bound <= incumbent + gap:
             continue
 
-        value, solution, children = engine.split(node, work)
+        try:
+            value, solution, children = engine.split(node, work)
+        except _OutOfTime:
+            hit_limit = True
+            heapq.heappush(heap, entry)
+            break
         if value > best:
             best, best_at = value, solution
         for child in children:
@@ -493,7 +504,9 @@ class _StructuredSearch:
     winning tests are recovered afterwards along the winning path, where each
     node's winner is computed again for its one routed set (``_recover``).
     They are the search's answer: its result carries them as ``tests``, with
-    no variable values.
+    no variable values.  A closure checks the clock once per chunk and is
+    abandoned when the time limit has passed (``_check_time``); the
+    recovery runs to its end.
     """
 
     sign = 1.0  # built models maximise
@@ -602,12 +615,14 @@ class _StructuredSearch:
         self.store_best = np.empty((0, self.floor + 1))
         row_cells = self.floor + 1 + (self.n + 7) // 8
         self.store_capacity = max(1, _TABLE_STORE_CELLS // row_cells)
+        self.deadline = np.inf  # the time limit, while ``run`` searches
 
     # -- node work for the shared loop ----------------------------------------
 
     def run(self) -> SolveResult:
         zlo = np.zeros((self.n_decl, self.d), dtype=np.int8)
         root = (zlo, np.ones_like(zlo), [None] * self.n_decl, range(self.n_decl))
+        self.deadline = time.perf_counter() + self.config.time_limit
         result = _best_first(self, root, self.all_correct)
         result.shape = self.topo.shape_text()
         return result
@@ -657,6 +672,7 @@ class _StructuredSearch:
 
     def answer(self, solution):
         """No variable values, and the winning closure's tests, recovered."""
+        self.deadline = np.inf  # the winner is recovered whatever the time
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
         self._recover(("node", self.topo.root), everyone, self.floor, solution, tests)
@@ -823,6 +839,7 @@ class _StructuredSearch:
             if not self.n_groups:
                 return best, winners  # with no group there is no test at all
             for r in range(0, len(masks), self.leaf_rows):
+                self._check_time()
                 at = slice(r, r + self.leaf_rows)
                 tables = self._leaf_tables(self._gains(masks[at]))
                 best[at] = tables.max(axis=1)
@@ -835,6 +852,7 @@ class _StructuredSearch:
         left_child, right_child = self.topo.children[k]
         step = max(1, CHUNK_ROWS // len(masks))
         for lo in range(0, len(state.tests), step):
+            self._check_time()
             go = self._go_left(state, slice(lo, lo + step))
             left = (masks[:, None] & go).reshape(-1, self.n)
             right = (masks[:, None] & ~go).reshape(-1, self.n)
@@ -884,6 +902,7 @@ class _StructuredSearch:
         # as its output, n_rows x (n_rows + 1) cells per mask, allows
         step = size * max(1, PAIR_CELLS // (n_rows * (n_rows + 1) * size))
         for r in range(0, len(masks), size):
+            self._check_time()
             chunk = masks[r:r + size]
             if len(masks) == 1:
                 # one mask: its own samples' pair rows times themselves,
@@ -910,6 +929,11 @@ class _StructuredSearch:
             best[r:r + size, 0] = merged.max(axis=1)
             winners[r:r + size, 0] = merged.argmax(axis=1)
         return best, winners
+
+    def _check_time(self):
+        """Raise ``_OutOfTime`` once the time limit has passed."""
+        if time.perf_counter() > self.deadline:
+            raise _OutOfTime
 
     def _pair_table(self):
         """Per class, its samples' rows of the pair table, and a gather index.

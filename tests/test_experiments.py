@@ -201,9 +201,9 @@ def test_training_lowers_no_rows(monkeypatch):
     cross_validate_topology(data, [preset("depth2"), preset("depth2_5")], seed=1)
     sensitivity_sweep(data, preset("depth2"), [Fraction(1, 2), Fraction(1)], seed=1)
     assert made == {"Variable": [], "Constraint": []} and len(models) == 1 + 9 + 2
-    # nor an objective: every part of every model is still unbuilt
-    parts = [getattr(m, name) for m in models for name in ("variables", "objective", "constraints")]
-    assert all(part._build is not None for part in parts)
+    # nor an objective: no model has any part set
+    parts = ("variables", "objective", "constraints")
+    assert not any(name in vars(m) for m in models for name in parts)
     # the counts do see the parts of a model that something reads
     model = build_model(data, preset("depth2"))
     assert len(model.objective) > 0

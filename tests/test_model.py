@@ -11,7 +11,7 @@ from grouptree.encoding import build_schema, encode
 from grouptree.errors import EmptyClassError, InvalidConfigError
 from grouptree.experiments import protocol_split
 from grouptree.model import BuildConfig, Constraint, build_model, model_stats
-from grouptree.mps import export_lp, export_mps
+from grouptree.mps import export_lp, export_mps, parse_mps
 from grouptree.topology import PRESET_SHAPES, preset
 from tests.conftest import random_dataset
 
@@ -347,17 +347,43 @@ def test_the_first_read_of_any_part_builds_all_three_once(monkeypatch, first):
 
 
 def test_copied_parts_keep_their_types():
+    # a built model's parts are those of a parsed one: on first read, and
+    # after a pickle or a copy of a model whose parts were never read
     cfg = BuildConfig()
     data = monks_data(n=20)
     plain = build_model(data, preset("depth2"), cfg)
     types = {"variables": list, "objective": tuple, "constraints": list}
+    parsed = parse_mps(export_mps(plain))
+    assert {name: type(getattr(parsed, name)) for name in types} == types
     for copied in (
+        build_model(data, preset("depth2"), cfg),
         pickle.loads(pickle.dumps(build_model(data, preset("depth2"), cfg))),
         copy.deepcopy(build_model(data, preset("depth2"), cfg)),
     ):
         for name, kind in types.items():
             assert type(getattr(copied, name)) is kind
             assert getattr(copied, name) == kind(getattr(plain, name))
+
+
+def test_a_row_appended_to_a_built_model_is_exported():
+    data = monks_data(n=20)
+    model = build_model(data, preset("depth2"))
+    row = Constraint("EXTRA", (("V_1_0", 1.0), ("Z_1_0", -1.0)), "<=", 0.0)
+    model.constraints.append(row)
+    parsed = parse_mps(export_mps(model))
+    assert parsed.constraints[-1].name == "EXTRA"
+    assert dict(parsed.constraints[-1].coeffs) == dict(row.coeffs)
+    assert parsed.semantically_equal(model)
+
+
+def test_a_part_set_before_the_first_read_stays():
+    data = monks_data(n=20)
+    plain = build_model(data, preset("depth2"))
+    model = build_model(data, preset("depth2"))
+    assert not hasattr(model, "nosuch")  # reads no part
+    model.objective = ()
+    assert model.constraints == plain.constraints  # builds the other parts
+    assert model.objective == () and model.variables == plain.variables
 
 
 def test_reassigned_rows_are_used():

@@ -1,14 +1,17 @@
 import itertools
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import grouptree.solver as solver_mod
-from grouptree.encoding import EncodedDataset
+from grouptree.datasets import monks
+from grouptree.encoding import EncodedDataset, build_schema, encode
 from grouptree.errors import (
     FractionalSelectionError,
     InfeasibleError,
@@ -17,6 +20,7 @@ from grouptree.errors import (
     NumericalFailureError,
     TimeLimitNoIncumbentError,
 )
+from grouptree.experiments import protocol_split
 from grouptree.model import BuildConfig, Constraint, MilpModel, Variable, build_model
 from grouptree.mps import export_mps, parse_mps
 from grouptree.oracle import enumerate_optimal
@@ -376,6 +380,60 @@ def test_node_limit_returns_incumbent(rng, monkeypatch):
         assert result.objective is not None
         assert result.best_bound >= result.objective
         assert result.nodes_processed == 8
+
+
+def _monks1_floored():
+    # monks-1, protocol split 1, imbalanced, specificity floor 0.95: the
+    # optimum is 197, and each closure takes a good part of a second
+    table = monks(1)
+    data = encode(table, build_schema(table))
+    train, _ = protocol_split(data.n_samples, 1)
+    config = BuildConfig(min_specificity=Fraction(95, 100))
+    return build_model(data.subset(train), preset("imbalanced"), config)
+
+
+def test_a_closure_stops_at_the_time_limit(monkeypatch):
+    # with this budget the root closes: one closure of several seconds, cut
+    # at the limit, before any incumbent
+    monkeypatch.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", 10**7)
+    model = _monks1_floored()
+    start = time.perf_counter()
+    with pytest.raises(TimeLimitNoIncumbentError):
+        solve_milp(model, SolveConfig(time_limit=0.5))
+    assert time.perf_counter() - start < 3.0
+
+
+def test_a_closure_cut_at_the_time_limit_keeps_the_bound(monkeypatch):
+    # The solver's clock stands still until the search has an incumbent and
+    # then moves 0.1 s per read, so the limit passes inside a closure at the
+    # same point on any machine.  That node goes back to the heap unsplit:
+    # the bound still covers the optimum.
+    clock = {"now": 0.0, "step": 0.0}
+
+    def read():
+        clock["now"] += clock["step"]
+        return clock["now"]
+
+    def progress(fields):
+        if fields["incumbent"] is not None:
+            clock["step"] = 0.1
+
+    abandoned = []
+    split = solver_mod._StructuredSearch.split
+
+    def recorded(self, node, states):
+        try:
+            return split(self, node, states)
+        except Exception as exc:
+            abandoned.append(exc)
+            raise
+
+    monkeypatch.setattr(solver_mod, "time", SimpleNamespace(perf_counter=read))
+    monkeypatch.setattr(solver_mod._StructuredSearch, "split", recorded)
+    result = solve_milp(_monks1_floored(), SolveConfig(time_limit=0.5, callback=progress))
+    assert len(abandoned) == 1
+    assert result.status == FEASIBLE_TIME_LIMIT
+    assert result.objective <= 197 <= result.best_bound
 
 
 def _integer_program(sense, objective, rows, upper):
