@@ -1631,3 +1631,44 @@ def test_constrained_clinic_solve_is_pinned():
     assert (result.status, result.objective) == (OPTIMAL, 326.0)
     tree = extract_tree(result, preset("depth2"), train.schema)
     assert hashlib.sha256(tree.to_json().encode()).hexdigest().startswith("7f07a172ac93fbb5")
+
+
+@pytest.mark.parametrize("store_cells", [None, 200], ids=["store", "tiny-store"])
+def test_seeded_corpus_is_pinned(monkeypatch, store_cells):
+    # 60 seeded solves: depth2, depth2_5, depth3 and imbalanced in each mode,
+    # with trivial tests forbidden or not and anchoring on or off, at the
+    # shipped enumeration budget and at one that branches.  Each solve's
+    # status, objective, best bound, node count and tree go into one digest,
+    # which a table store of a few rows, cleared inside the nested calls of
+    # a batch, must not move.
+    import hashlib
+
+    if store_cells is not None:
+        monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", store_cells)
+    rng = random.Random(25)
+    floors = ({}, {"min_specificity": Fraction(1, 2)}, {"min_sensitivity": Fraction(2, 3)})
+    digest = hashlib.sha256()
+    solves = 0
+    for shape in ("depth2", "depth2_5", "depth3", "imbalanced"):
+        topo = preset(shape)
+        for floor in floors:
+            for i in range(5):
+                sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+                n = rng.randrange(12, 24)
+                labels = [rng.choice([-1, 1]) for _ in range(n - 2)] + [-1, 1]
+                data = random_dataset(rng, n, sizes, labels)
+                cfg = BuildConfig(forbid_trivial_branch=i % 2 == 1, anchor=i % 4 < 2, **floor)
+                budget = 8 if i >= 3 else solver_mod.ENUM_BUDGET
+                with monkeypatch.context() as m:
+                    m.setattr(solver_mod, "ENUM_BUDGET", budget)
+                    m.setattr(solver_mod, "ENUM_BUDGET_CONSTRAINED", budget)
+                    result = solve_milp(build_model(data, topo, cfg))
+                tree = ""
+                if result.objective is not None:
+                    tree = extract_tree(result, topo, data.schema).to_json()
+                figures = (result.status, result.objective, result.best_bound,
+                           result.nodes_processed, hashlib.sha256(tree.encode()).hexdigest())
+                digest.update(repr(figures).encode())
+                solves += 1
+    assert solves == 60
+    assert digest.hexdigest()[:16] == "d2682333908c1e56"
