@@ -121,10 +121,17 @@ def cross_validate_topology(
 ) -> CrossValidationResult:
     """Pick a shape by 4-fold cross-validation, then train it on the pool.
 
-    Ties go to the shape with fewer leaves, then to list order.
+    Ties go to the shape with fewer leaves, then to list order.  Shapes are
+    told apart by name, so two with the same name (every parenthesis shape
+    is ``custom``) are refused.
     """
     if len(topologies) < 2:
         raise InvalidConfigError("cross-validation needs at least two topologies")
+    names = [topo.name for topo in topologies]
+    for name in names:
+        if names.count(name) > 1:
+            raise InvalidConfigError(f"two topologies are named {name!r}; cross-validation "
+                                     "tells its candidates apart by name")
     config = config or BuildConfig()
     solve_config = solve_config or SolveConfig()
     rng = SplitMix64(seed)

@@ -497,9 +497,10 @@ class _StructuredSearch:
     gains per slot are sums of pair gains, from products of the routed sets
     with a per-sample pair table built once per solve (``_pair_tables``).
     Every subtree's tables but the root's
-    are served from one per-solve store of tables (``_stored``), keyed by the
-    routed set and, at a branched node, by the box rows that fix its
-    subtree's tests, so each distinct table is computed once per solve.  The
+    are served from one per-solve memo, a dict of tables (``_stored``) keyed
+    by the routed set and, at a branched node, by the box rows that fix its
+    subtree's tests, so each distinct table is computed once per solve while
+    the memo holds it; a batch that would overfill it clears it.  The
     root's table is computed directly: no other closure has its box.  The
     winning tests are recovered afterwards along the winning path, where each
     node's winner is computed again for its one routed set (``_recover``).
@@ -610,9 +611,9 @@ class _StructuredSearch:
         # per branched node below the root, the positions of the branched
         # nodes in its subtree: their box rows fix the subtree's tests
         self.subtree_rows = {k: self._subtree_rows(k) for k in self.decl if k != self.topo.root}
-        # subtree tables of the masks routed so far: signature + packed mask -> row
-        self.store_index: dict[bytes, int] = {}
-        self.store_best = np.empty((0, self.floor + 1))
+        # subtree tables of the masks routed so far: signature + packed mask ->
+        # the table's float64 bytes
+        self.store: dict[bytes, bytes] = {}
         row_cells = self.floor + 1 + (self.n + 7) // 8
         self.store_capacity = max(1, _TABLE_STORE_CELLS // row_cells)
         self.deadline = np.inf  # the time limit, while ``run`` searches
@@ -785,42 +786,32 @@ class _StructuredSearch:
         is shared by every leaf-adjacent node; a branched node's signature is
         its closure's (``_signatures``).  A row does not depend on the other
         masks of its batch, so one store serves every closure of a solve and
-        the recovery.  It grows geometrically up to ``store_capacity`` rows;
-        a batch that overfills it starts it afresh.
+        the recovery.  It holds at most ``store_capacity`` rows, or the rows of
+        one batch that alone holds more: a batch whose new rows would overfill
+        it clears it first.
         """
         packed = np.packbits(masks, axis=1)
         keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
         if k in self.decl_pos:
             sig = closure[1][k]
             keys = [sig + key for key in keys]
-        # each distinct key -> the position of its first mask in the batch
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        index = self.store_index
-        new = [key for key in first if key not in index]
-        if new:
-            # the batch's stored rows are read first: a branched node's new
-            # rows recurse into the store, which may clear it meanwhile
-            old = [key for key in first if key in index]
-            at = np.fromiter(map(index.__getitem__, old), np.int64, len(old))
-            old_best = self.store_best[at]
-            fresh = np.fromiter(map(first.__getitem__, new), np.int64, len(new))
+        store = self.store
+        # the batch's stored rows are read first: a branched node's new rows
+        # recurse into the store, which may clear it meanwhile
+        rows = list(map(store.get, keys))
+        # each missing key -> the position of its first mask in the batch
+        missing = {}
+        for i, row in enumerate(rows):
+            if row is None:
+                missing.setdefault(keys[i], i)
+        if missing:
+            fresh = np.fromiter(missing.values(), np.int64, len(missing))
             best = self._computed(k, masks[fresh], closure)[0]
-            if len(index) + len(new) > self.store_capacity or not all(
-                map(index.__contains__, old)
-            ):
-                index.clear()  # full, or cleared meanwhile: this batch starts it afresh
-                new = old + new
-                best = np.concatenate([old_best, best])
-            start = len(index)
-            index.update(zip(new, range(start, start + len(new))))
-            if len(index) > len(self.store_best):
-                size = max(len(index), min(2 * len(self.store_best), self.store_capacity))
-                grown = np.empty((size, self.floor + 1))
-                grown[:start] = self.store_best[:start]
-                self.store_best = grown
-            self.store_best[start:len(index)] = best
-        rows = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
-        return self.store_best[rows]
+            if len(store) + len(missing) > self.store_capacity:
+                store.clear()
+            store.update(zip(missing, map(bytes, best)))
+            rows = [store[key] if row is None else row for key, row in zip(keys, rows)]
+        return np.frombuffer(b"".join(rows)).reshape(len(keys), self.floor + 1)
 
     def _computed(self, k, masks, closure):
         """Node ``k``'s tables computed here; its children's come from ``_stored``.

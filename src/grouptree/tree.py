@@ -21,6 +21,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_node_key(key: str) -> bool:
+    """Whether ``key`` is a node number as ``to_json`` writes it: ASCII
+    digits with no leading zero (nodes count from 1), so that no two keys
+    name one node."""
+    return key.isascii() and key.isdecimal() and key[0] != "0"
+
+
 @dataclass(frozen=True)
 class DecisionTree:
     """A fixed-shape tree with a (group, feature subset) test at each node.
@@ -136,7 +143,7 @@ class DecisionTree:
             and all(_is_int(size) and size > 0 for size in sizes)
             and isinstance(tests, dict)
             and all(
-                k.isdecimal()
+                _is_node_key(k)
                 and isinstance(entry, dict)
                 and _is_int(entry.get("group"))
                 and isinstance(entry.get("features"), list)

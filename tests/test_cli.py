@@ -101,6 +101,20 @@ def test_cv_runs(toy, tmp_path):
     assert payload["chosen"] in ("depth2", "depth2_5")
 
 
+def test_cv_refuses_two_parenthesis_shapes(toy, tmp_path, capsys):
+    # both shapes are named "custom", so their validation accuracies would
+    # share one row
+    out = tmp_path / "cv.json"
+    code = main(
+        ["cv", "--data", str(toy), "--topologies", "((# #) (# #)),(((# #) (# #)) ((# #) (# #)))",
+         "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: two topologies are named 'custom'")
+    assert not out.exists()
+
+
 def test_sweep(toy, tmp_path):
     out = tmp_path / "sweep.json"
     code = main(

@@ -17,7 +17,7 @@ from grouptree.model import BuildConfig, build_model
 from grouptree.oracle import enumerate_optimal
 from grouptree.rng import SplitMix64
 from grouptree.solver import INFEASIBLE, solve_milp
-from grouptree.topology import preset
+from grouptree.topology import parse_shape, preset
 from tests.conftest import make_schema, random_dataset
 
 
@@ -115,6 +115,20 @@ def test_cv_requires_multiple_topologies(rng):
     data = random_dataset(rng, 40, [2, 2])
     with pytest.raises(InvalidConfigError):
         cross_validate_topology(data, [preset("depth2")], seed=0)
+
+
+def test_cv_refuses_two_topologies_with_one_name(rng):
+    # every parenthesis shape is named "custom": two of them would share one
+    # validation accuracy, and the choice could fall on the worse shape
+    data = random_dataset(rng, 40, [2, 2])
+    shapes = [parse_shape("((# #) (# #))"), parse_shape("(((# #) (# #)) ((# #) (# #)))")]
+    with pytest.raises(InvalidConfigError, match="'custom'"):
+        cross_validate_topology(data, shapes, seed=0)
+    with pytest.raises(InvalidConfigError, match="'depth2'"):
+        cross_validate_topology(data, [preset("depth2"), preset("depth2")], seed=0)
+    # one custom shape next to a preset is told apart from it
+    result = cross_validate_topology(data, [shapes[1], preset("depth2")], seed=0)
+    assert set(result.mean_validation_accuracy) == {"custom", "depth2"}
 
 
 def test_cv_folds_partition_pool(rng, monkeypatch):

@@ -1023,9 +1023,9 @@ def test_leaf_tables_match_the_kernel(monkeypatch, store_cells, cfg):
         assert np.array_equal(best, tables.max(axis=1))
         assert np.array_equal(winners, tables.argmax(axis=1))
     if store_cells is None:
-        assert len(search.store_index) == len(seen)  # each mask stored once
+        assert len(search.store) == len(seen)  # each mask stored once
     else:
-        assert len(search.store_best) < len(seen)
+        assert len(search.store) < len(seen)
 
 
 @pytest.mark.parametrize("forbid", [False, True], ids=["any-test", "forbid-trivial"])
@@ -1221,7 +1221,7 @@ def test_branched_tables_match_direct_ones(monkeypatch, shape, store_cells, cfg)
             )
             assert np.array_equal(best, expected_best)
             assert np.array_equal(winners, expected_winners)
-    stored = set(search.store_index)
+    stored = set(search.store)
     for k, keys in seen.items():
         if store_cells is not None:
             assert not keys <= stored  # the tiny store dropped some of them
@@ -1262,6 +1262,35 @@ def test_solves_under_a_tiny_store_match_oracle(monkeypatch, mode):
 
 _OBJECTIVES = ({}, {"class_weight": Fraction(3, 2)}, {"min_specificity": Fraction(1, 2)},
                {"min_sensitivity": Fraction(2, 3)}, {"min_sensitivity": Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("cfg", [BuildConfig(), BuildConfig(min_specificity=Fraction(1, 2))],
+                         ids=["accuracy", "floored"])
+def test_table_store_stays_within_its_capacity(monkeypatch, cfg):
+    # After every insert the store holds at most store_capacity rows, or the
+    # rows of the one batch just inserted when that batch alone is larger:
+    # a batch that would overfill it clears it first.  A store of a few rows
+    # meets both cases many times over in one solve.
+    monkeypatch.setattr(solver_mod, "_TABLE_STORE_CELLS", 30)
+    data = random_dataset(random.Random(6), 14, [2, 3])
+    model = build_model(data, preset("imbalanced"), cfg)
+    search = solver_mod._StructuredSearch(model, SolveConfig())
+    capacity = search.store_capacity
+    batches = []
+
+    class Store(dict):
+        def update(self, rows):
+            rows = dict(rows)
+            super().update(rows)
+            batches.append(len(rows))
+            assert len(self) <= max(capacity, len(rows))
+
+    search.store = Store()
+    result = search.run()
+    assert result.status == OPTIMAL
+    assert result.objective == solve_milp(model).objective
+    assert capacity < max(batches)  # some batch alone overfills it
+    assert sum(batches) > 3 * capacity  # and it was cleared several times
 
 
 def test_engines_agree_on_every_objective_and_forbid_setting():

@@ -178,6 +178,19 @@ def test_malformed_tree_json_is_rejected(text):
         DecisionTree.from_json(text)
 
 
+@pytest.mark.parametrize("keys", [("01", "1"), ("1", "01"), ("01",), ("\uff11",)],
+                         ids=["padded-first", "padded-last", "padded", "full-width"])
+def test_node_keys_are_canonical_decimals(keys):
+    # "01" and "1" would both name node 1, and the test kept would depend on
+    # the order of the keys; any key that int() reads but to_json never
+    # writes is refused
+    payload = json.loads(worked_tree().to_json())
+    test = payload["tests"].pop("1")
+    payload["tests"] = {**{key: test for key in keys}, **payload["tests"]}
+    with pytest.raises(MalformedTreeError):
+        DecisionTree.from_json(json.dumps(payload))
+
+
 def test_malformed_tree_is_a_value_error():
     with pytest.raises(ValueError, match="no test for decision node 3"):
         DecisionTree(
