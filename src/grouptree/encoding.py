@@ -49,9 +49,22 @@ class RawTable:
 
 @dataclass(frozen=True)
 class GroupSchema:
-    """Feature layout: one ordered group of (feature, column, category) per column."""
+    """Feature layout: one ordered group of (feature, column, category) per column.
+
+    The features are numbered ``0 .. d-1`` in group order: a tree, and its
+    JSON, which stores only the group sizes, read group ``g`` as the
+    features that follow the first ``g`` groups.  Any other numbering is a
+    ``MalformedRowError``.
+    """
 
     groups: tuple[tuple[tuple[int, str, str], ...], ...]
+
+    def __post_init__(self):
+        ids = [f for members in self.groups for f, _, _ in members]
+        if ids != list(range(len(ids))):
+            raise MalformedRowError(
+                f"feature ids must be 0..{len(ids) - 1} in group order, got {ids}"
+            )
 
     @property
     def n_groups(self) -> int:

@@ -8,7 +8,8 @@ class GroupTreeError(Exception):
 # --- data ingestion / encoding ---
 
 class MalformedRowError(GroupTreeError):
-    """A row does not fit its table, or an encoded dataset's JSON is malformed."""
+    """A row does not fit its table, a schema numbers its features out of
+    group order, or an encoded dataset's JSON is malformed."""
 
 
 class NonBinaryLabelError(GroupTreeError):

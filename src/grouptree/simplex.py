@@ -12,6 +12,7 @@ cycle.  All choices are index-based, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -27,6 +28,8 @@ STALL_LIMIT = 1000
 # update runs of rows in place: copying such a block out and back costs more
 # than the row loop it replaces.
 _BLOCK = 1 << 15
+# pivots between two reads of the clock: a pivot costs far more than a read
+_CHECK_EVERY = 32
 
 BASIC, AT_LO, AT_UP = 0, 1, 2
 # per column status, the direction in which a nonbasic column may move off
@@ -39,13 +42,25 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+class OutOfTime(Exception):
+    """A solve's deadline passed, and the work in hand is abandoned.
+
+    Not a ``GroupTreeError``: the best-bound loop of ``solve_milp``, which
+    sets the deadline, catches it and reports the time limit.
+    """
+
+
 class BoundedSimplex:
     """One LP instance; supports re-solving after bound changes.
 
     Rows are normalized to ``<=`` or ``=`` (``>=`` rows are negated), a slack
     column is appended per row, and infeasible starting rows get artificial
-    columns that phase 1 drives to zero.
+    columns that phase 1 drives to zero.  The primal and dual loops read the
+    clock every ``_CHECK_EVERY`` pivots; once ``deadline`` (+inf unless set)
+    has passed, they raise ``OutOfTime`` and leave the instance mid-solve.
     """
+
+    deadline = math.inf  # a ``time.perf_counter`` reading
 
     def __init__(self, A, senses, rhs, obj, lower, upper):
         A = np.asarray(A, dtype=float)
@@ -260,6 +275,8 @@ class BoundedSimplex:
             self.iterations += 1
             if steps > limit:
                 raise NumericalFailureError("primal simplex iteration limit")
+            if self.iterations % _CHECK_EVERY == 0:
+                self._check_time()
             # a column at its lower bound may rise, one at its upper may fall
             idx = ((_SIGN.take(status_col) * zc > OPT_TOL) & movable).nonzero()[0]
             if len(idx) == 0:
@@ -295,6 +312,11 @@ class BoundedSimplex:
             hits_lower = a[r] > 0
             self._note_step(t_rows)
             self._pivot(r, e, t_rows, direction, AT_LO if hits_lower else AT_UP)
+
+    def _check_time(self) -> None:
+        """Raise ``OutOfTime`` once the deadline has passed."""
+        if time.perf_counter() > self.deadline:
+            raise OutOfTime
 
     def _leaving_row(self, ratios: np.ndarray, t: float) -> int:
         ties = ratios <= t + ZERO_STEP
@@ -359,6 +381,8 @@ class BoundedSimplex:
             self.iterations += 1
             if steps > limit:
                 raise NumericalFailureError("dual simplex iteration limit")
+            if self.iterations % _CHECK_EVERY == 0:
+                self._check_time()
             viol = self._violation()
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:

@@ -27,6 +27,11 @@ monotone along the search tree and the incumbent is a feasible integral
 assignment, so ``optimal`` results carry a proof.  The gap is fixed: under
 one unit for integral objectives, whose values differ by whole units, and
 1e-6 otherwise.
+
+A solve has one deadline, set by ``_best_first``.  It is checked between
+nodes, once per batch inside a structured closure, and every few dozen
+pivots inside a node LP.  Work cut short by it raises ``simplex.OutOfTime``,
+which only ``_best_first`` catches.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .errors import (
     TimeLimitNoIncumbentError,
 )
 from .model import MilpModel
-from .simplex import BoundedSimplex
+from .simplex import BoundedSimplex, OutOfTime
 from .topology import TreeTopology
 from .tree import DecisionTree
 
@@ -233,10 +238,6 @@ def extract_tree(
 # ---------------------------------------------------------------------------
 
 
-class _OutOfTime(Exception):
-    """The time limit passed during a node's ``split``, which is abandoned."""
-
-
 def _best_first(engine, root, root_bound: float) -> SolveResult:
     """Best-bound branch and bound over the nodes of ``engine``.
 
@@ -247,20 +248,26 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
       relaxation and ends the search;
     * ``engine.split(node, work)`` on a node that survived the gap prune:
       ``(value, solution, children)``, a candidate incumbent (``value`` -inf
-      for none) and the children to push, in order.  It may raise
-      ``_OutOfTime``: the node then goes back to the heap unsplit, so the
-      bound stays valid, and the search stops at the time limit;
+      for none) and the children to push, in order;
     * ``engine.answer(solution)`` of the winner: ``(assignment, tests)``,
       the values of the model's variables or the tests of the tree, as the
       result carries them; ``engine.sign`` to turn the maximised value back
       to the model's sense, ``engine.integral`` when every objective value is
       an integer, and ``engine.iterations`` for the pivots spent.
+
+    The solve has one deadline, ``start + config.time_limit``, set here as
+    ``engine.deadline``.  The loop checks it between nodes, and ``bound`` or
+    ``split`` may raise ``OutOfTime`` once it has passed: the node then goes
+    back to the heap unsplit, so the bound stays valid, and the search stops
+    at the time limit.  The deadline is lifted before ``answer``, so the
+    winner is always read out in full.
     """
     config = engine.config
     # a bound within the gap of the incumbent cannot beat it: by less than
     # one unit when every objective value is an integer
     gap = 0.999 if engine.integral else 1e-6
     start = time.perf_counter()
+    engine.deadline = start + config.time_limit
     best, best_at = -np.inf, None  # incumbent value and its solution
     nodes = counter = 0
     heap = [(-root_bound, 0, root)]  # (-bound, -counter, node)
@@ -273,7 +280,7 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
         incumbent = None if best_at is None else best
         if incumbent is not None and parent_bound <= incumbent + gap:
             continue
-        if time.perf_counter() - start > config.time_limit or (
+        if time.perf_counter() > engine.deadline or (
             config.node_limit is not None and nodes >= config.node_limit
         ):
             hit_limit = True
@@ -281,20 +288,19 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
             break
         nodes += 1
 
-        bounded = engine.bound(node, parent_bound)
-        if bounded is None:
-            continue
-        bound, fields, work = bounded
-        if bound == np.inf:
-            unbounded = True
-            break
-        _emit_progress(config, nodes, incumbent, bound, start, fields)
-        if incumbent is not None and bound <= incumbent + gap:
-            continue
-
         try:
+            bounded = engine.bound(node, parent_bound)
+            if bounded is None:
+                continue
+            bound, fields, work = bounded
+            if bound == np.inf:
+                unbounded = True
+                break
+            _emit_progress(config, nodes, incumbent, bound, start, fields)
+            if incumbent is not None and bound <= incumbent + gap:
+                continue
             value, solution, children = engine.split(node, work)
-        except _OutOfTime:
+        except OutOfTime:
             hit_limit = True
             heapq.heappush(heap, entry)
             break
@@ -315,6 +321,7 @@ def _best_first(engine, root, root_bound: float) -> SolveResult:
     bound = best
     if hit_limit:
         bound = max(best, max(-b for b, _, _ in heap))
+    engine.deadline = np.inf
     assignment, tests = engine.answer(best_at)
     # + 0.0: a minimum of 0 reads 0.0, not -0.0
     return SolveResult(
@@ -352,6 +359,8 @@ def _emit_progress(config, node, incumbent, bound, start, extra=None):
 
 
 class _LpBranchAndBound:
+    deadline = np.inf  # set by ``_best_first`` for the solve
+
     def __init__(self, model: MilpModel, config: SolveConfig):
         self.model = model
         self.config = config
@@ -373,34 +382,40 @@ class _LpBranchAndBound:
 
         The basis stays dual-feasible across bound changes, so a dual restart
         usually suffices; numerical trouble falls back to a fresh solve of the
-        same box.  Returns (solver, status, iterations spent on this node).
+        same box.  Each simplex gets the solve's deadline.  Every pivot counts
+        in ``iterations``, also those of a solve that fails or is cut short.
+        Returns (solver, status).
         """
         A, senses, rhs, obj, lower, upper = self.arrays
         lower, upper = lower.copy(), upper.copy()
         for j, (lo, up) in patch.items():
             lower[j], upper[j] = lo, up
-        failed = 0  # pivots of a failed re-solve
         if self._hot is not None:
             solver = self._hot
             before = solver.iterations
             try:
                 status = solver.resolve_dual(lower, upper)
             except NumericalFailureError:
-                failed = solver.iterations - before
+                pass  # solved afresh below
             else:
                 if status == simplex.UNBOUNDED:
                     self._hot = None
-                return solver, status, solver.iterations - before
+                return solver, status
+            finally:
+                self.iterations += solver.iterations - before
         solver = BoundedSimplex(A, senses, rhs, obj, lower, upper)
-        status = solver.solve()
+        solver.deadline = self.deadline
+        try:
+            status = solver.solve()
+        finally:
+            self.iterations += solver.iterations
         # only a clean phase-2 end leaves re-optimizable costs behind
         self._hot = solver if status == simplex.OPTIMAL else None
-        return solver, status, failed + solver.iterations
+        return solver, status
 
     def bound(self, patch, parent_bound):
         """The node LP's value, capped at the parent's bound."""
-        solver, status, spent = self._node_lp(patch)
-        self.iterations += spent
+        solver, status = self._node_lp(patch)
         if status == simplex.INFEASIBLE:
             return None
         if status == simplex.UNBOUNDED:
@@ -505,13 +520,14 @@ class _StructuredSearch:
     winning tests are recovered afterwards along the winning path, where each
     node's winner is computed again for its one routed set (``_recover``).
     They are the search's answer: its result carries them as ``tests``, with
-    no variable values.  A closure checks the clock once per chunk and is
-    abandoned when the time limit has passed (``_check_time``); the
-    recovery runs to its end.
+    no variable values.  A closure checks the solve's ``deadline``, which
+    ``_best_first`` sets, once per chunk (``_check_time``) and is abandoned
+    once it has passed; the recovery runs with no deadline.
     """
 
     sign = 1.0  # built models maximise
     iterations = 0  # no simplex runs here
+    deadline = np.inf  # set by ``_best_first`` for the solve
 
     def __init__(self, model: MilpModel, config: SolveConfig):
         st = model.structure
@@ -616,14 +632,12 @@ class _StructuredSearch:
         self.store: dict[bytes, bytes] = {}
         row_cells = self.floor + 1 + (self.n + 7) // 8
         self.store_capacity = max(1, _TABLE_STORE_CELLS // row_cells)
-        self.deadline = np.inf  # the time limit, while ``run`` searches
 
     # -- node work for the shared loop ----------------------------------------
 
     def run(self) -> SolveResult:
         zlo = np.zeros((self.n_decl, self.d), dtype=np.int8)
         root = (zlo, np.ones_like(zlo), [None] * self.n_decl, range(self.n_decl))
-        self.deadline = time.perf_counter() + self.config.time_limit
         result = _best_first(self, root, self.all_correct)
         result.shape = self.topo.shape_text()
         return result
@@ -673,7 +687,6 @@ class _StructuredSearch:
 
     def answer(self, solution):
         """No variable values, and the winning closure's tests, recovered."""
-        self.deadline = np.inf  # the winner is recovered whatever the time
         tests: dict = {}
         everyone = np.ones(self.n, dtype=bool)
         self._recover(("node", self.topo.root), everyone, self.floor, solution, tests)
@@ -922,9 +935,9 @@ class _StructuredSearch:
         return best, winners
 
     def _check_time(self):
-        """Raise ``_OutOfTime`` once the time limit has passed."""
+        """Raise ``OutOfTime`` once the deadline has passed."""
         if time.perf_counter() > self.deadline:
-            raise _OutOfTime
+            raise OutOfTime
 
     def _pair_table(self):
         """Per class, its samples' rows of the pair table, and a gather index.

@@ -21,13 +21,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_node_key(key: str) -> bool:
-    """Whether ``key`` is a node number as ``to_json`` writes it: ASCII
-    digits with no leading zero (nodes count from 1), so that no two keys
-    name one node."""
-    return key.isascii() and key.isdecimal() and key[0] != "0"
-
-
 @dataclass(frozen=True)
 class DecisionTree:
     """A fixed-shape tree with a (group, feature subset) test at each node.
@@ -143,12 +136,11 @@ class DecisionTree:
             and all(_is_int(size) and size > 0 for size in sizes)
             and isinstance(tests, dict)
             and all(
-                _is_node_key(k)
-                and isinstance(entry, dict)
+                isinstance(entry, dict)
                 and _is_int(entry.get("group"))
                 and isinstance(entry.get("features"), list)
                 and all(_is_int(j) for j in entry["features"])
-                for k, entry in tests.items()
+                for entry in tests.values()
             )
         ):
             raise MalformedTreeError(
@@ -159,10 +151,16 @@ class DecisionTree:
             topo = parse_shape(shape, name=name)
         except MalformedTopologyError as exc:
             raise MalformedTreeError(f"bad tree shape: {exc}") from None
+        # a key is a node number as ``to_json`` writes it, so no two keys name
+        # one node and no key is parsed as a number
+        nodes = {str(k): k for k in topo.decision_nodes}
+        for k in tests:
+            if k not in nodes:
+                raise MalformedTreeError(f"test for node {k[:20]!r}, which is not a decision node")
         return DecisionTree(
             topology=topo,
             tests={
-                int(k): (entry["group"], frozenset(entry["features"]))
+                nodes[k]: (entry["group"], frozenset(entry["features"]))
                 for k, entry in tests.items()
             },
             n_features=payload["n_features"],

@@ -345,3 +345,18 @@ def test_tree_with_foreign_group_is_rejected(monks3, tmp_path, capsys):
                  "--tree", str(tree_path)])
     assert code == 1
     assert "group 17" in capsys.readouterr().err
+
+
+def test_tree_with_a_long_node_key_is_reported(monks3, tmp_path, capsys):
+    # int() refuses a decimal of more than 4,300 digits with a ValueError
+    run_path = tmp_path / "run.json"
+    assert main(["train", "--data", str(monks3), "--label-col", "class", "--seed", "1",
+                 "--out", str(run_path)]) == 0
+    tree = json.loads(run_path.read_text())["tree"]
+    tree["tests"]["1" * 5000] = tree["tests"].pop("1")
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(tree), encoding="utf-8")
+    code = main(["eval", "--data", str(monks3), "--label-col", "class",
+                 "--tree", str(tree_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -6,6 +6,7 @@ import pytest
 from grouptree.datasets import monks, to_csv
 from grouptree.encoding import (
     EncodedDataset,
+    GroupSchema,
     RawTable,
     binarize_for_simple_branching,
     build_schema,
@@ -110,6 +111,23 @@ def test_schema_orders_categories():
     assert schema.categories_of(1) == ("large", "small")
     assert schema.anchor_feature(0) == 0
     assert schema.group_sizes == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [((1, 2), (0, 3)), ((1, 0), (2, 3)), ((0, 1), (3, 4)), ((1, 2), (3, 4))],
+    ids=["groups-interleaved", "group-reversed", "gap", "from-one"],
+)
+def test_a_schema_numbers_its_features_in_group_order(ids):
+    # a tree stores only group sizes and reads group g as the features after
+    # the first g groups, so a schema numbered otherwise would train trees
+    # that extract_tree refuses
+    groups = tuple(
+        tuple((f, f"col{g}", f"v{t}") for t, f in enumerate(members))
+        for g, members in enumerate(ids)
+    )
+    with pytest.raises(MalformedRowError, match="in group order"):
+        GroupSchema(groups=groups)
 
 
 def test_single_category_column():
@@ -286,6 +304,15 @@ def test_a_dataset_of_bad_shape_or_labels_is_refused():
     for matrix, labels, sch, error in cases:
         with pytest.raises(error):
             EncodedDataset(matrix=matrix, labels=labels, schema=sch)
+    # so is a raw table with a short row, a label count that does not match
+    # its rows, or a label of 0
+    for rows, labels, error in (
+        ((("a", "b"), ("c",)), (1, -1), MalformedRowError),
+        ((("a", "b"),), (1, -1), MalformedRowError),
+        ((("a", "b"), ("c", "d")), (1, 0), NonBinaryLabelError),
+    ):
+        with pytest.raises(error):
+            RawTable(column_names=("x", "y"), rows=rows, labels=labels)
 
 
 def test_csv_round_trip_via_to_csv():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,43 @@ def test_round_trip_all_configs(rng):
             again = parse_mps(export_mps(model))
             assert model.semantically_equal(again)
             assert model_stats(model) == model_stats(again)
+
+
+def _first(items, **changes):
+    items[0] = replace(items[0], **changes)
+
+
+def _bumped(pairs):
+    """``pairs`` of (name, coefficient) with the first coefficient one higher."""
+    (name, coef), *rest = pairs
+    return ((name, coef + 1.0), *rest)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: setattr(m, "sense", "min"),
+        lambda m: _first(m.variables, upper=m.variables[0].upper + 1.0),
+        lambda m: _first(m.variables, is_integer=not m.variables[0].is_integer),
+        lambda m: m.constraints.pop(),
+        lambda m: _first(m.constraints, name="OTHER"),
+        lambda m: _first(m.constraints, sense="<=" if m.constraints[0].sense != "<=" else ">="),
+        lambda m: _first(m.constraints, rhs=m.constraints[0].rhs + 1.0),
+        lambda m: _first(m.constraints, coeffs=_bumped(m.constraints[0].coeffs)),
+        lambda m: setattr(m, "objective", _bumped(m.objective)),
+    ],
+    ids=["sense", "bound", "integrality", "dropped-row", "row-name", "row-sense", "row-rhs",
+         "coefficient", "objective-coefficient"],
+)
+def test_semantic_equality_sees_each_difference(rng, edit):
+    # the check behind every MPS round trip: a parsed copy with one
+    # difference from the built model is not equal to it, either way round
+    model = build_model(random_dataset(rng, 12, [2, 3]), preset("depth2"))
+    parsed = parse_mps(export_mps(model))
+    assert model.sense == "max" and model.semantically_equal(parsed)
+    edit(parsed)
+    assert not model.semantically_equal(parsed)
+    assert not parsed.semantically_equal(model)
 
 
 def test_round_trip_twice_is_stable(rng):

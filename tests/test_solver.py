@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import grouptree.simplex as simplex_mod
 import grouptree.solver as solver_mod
 from grouptree.datasets import monks
 from grouptree.encoding import EncodedDataset, build_schema, encode
@@ -434,6 +435,60 @@ def test_a_closure_cut_at_the_time_limit_keeps_the_bound(monkeypatch):
     assert len(abandoned) == 1
     assert result.status == FEASIBLE_TIME_LIMIT
     assert result.objective <= 197 <= result.best_bound
+
+
+def test_a_node_lp_stops_at_the_time_limit():
+    # the root LP of monks-3 depth2 (1,616 rows) runs for minutes: the
+    # simplex reads the clock between pivots and is cut at the limit
+    table = monks(3)
+    data = encode(table, build_schema(table))
+    train, _ = protocol_split(data.n_samples, 1)
+    model = build_model(data.subset(train), preset("depth2"))
+    assert len(model.constraints) == 1616
+    start = time.perf_counter()
+    with pytest.raises(TimeLimitNoIncumbentError):
+        solve_milp(model, SolveConfig(time_limit=1.0), method="lp")
+    assert time.perf_counter() - start < 3.0
+
+
+def test_a_node_lp_cut_at_the_time_limit_keeps_the_bound(monkeypatch):
+    # The search's clock stands still.  The simplex's stands still until the
+    # search has an incumbent and then jumps past the limit, so the limit
+    # passes inside a node LP, at the same pivot on any machine.  That node
+    # goes back to the heap unsplit: the bound still covers the optimum.
+    base = random_dataset(random.Random(0), 10, [3, 3])
+    # contradictory duplicates keep every tree imperfect, so the search goes
+    # on after its first incumbent
+    data = EncodedDataset(
+        matrix=np.vstack([base.matrix, base.matrix]),
+        labels=np.concatenate([base.labels, -base.labels]),
+        schema=base.schema,
+    )
+    model = build_model(data, preset("depth2"))
+    optimum = solve_milp(model).objective
+    clock = {"now": 0.0}
+
+    def progress(fields):
+        if fields["incumbent"] is not None:
+            clock["now"] = 1.0
+
+    abandoned = []
+    bound = solver_mod._LpBranchAndBound.bound
+
+    def recorded(self, patch, parent_bound):
+        try:
+            return bound(self, patch, parent_bound)
+        except Exception as exc:
+            abandoned.append(exc)
+            raise
+
+    monkeypatch.setattr(solver_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.setattr(simplex_mod, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    monkeypatch.setattr(solver_mod._LpBranchAndBound, "bound", recorded)
+    result = solve_milp(model, SolveConfig(time_limit=0.5, callback=progress), method="lp")
+    assert len(abandoned) == 1
+    assert result.status == FEASIBLE_TIME_LIMIT
+    assert result.objective <= optimum <= result.best_bound
 
 
 def _integer_program(sense, objective, rows, upper):

@@ -178,12 +178,13 @@ def test_malformed_tree_json_is_rejected(text):
         DecisionTree.from_json(text)
 
 
-@pytest.mark.parametrize("keys", [("01", "1"), ("1", "01"), ("01",), ("\uff11",)],
-                         ids=["padded-first", "padded-last", "padded", "full-width"])
+@pytest.mark.parametrize("keys", [("01", "1"), ("1", "01"), ("01",), ("\uff11",), ("1" * 5000,)],
+                         ids=["padded-first", "padded-last", "padded", "full-width",
+                              "5000-digits"])
 def test_node_keys_are_canonical_decimals(keys):
     # "01" and "1" would both name node 1, and the test kept would depend on
     # the order of the keys; any key that int() reads but to_json never
-    # writes is refused
+    # writes is refused, and so is one too long for int() to read
     payload = json.loads(worked_tree().to_json())
     test = payload["tests"].pop("1")
     payload["tests"] = {**{key: test for key in keys}, **payload["tests"]}
